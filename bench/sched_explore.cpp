@@ -12,7 +12,7 @@
 // Any bug prints the one-line reproducer so the schedule replays
 // bit-identically in tests/test_sched.
 //
-// Requires -DR2D_SCHED=1 to explore anything; in the default build the
+// Requires -DR2D_TESTHOOKS=1 to explore anything; in the default build the
 // bench still compiles, reports the scheduler as compiled out, and
 // writes an empty (but well-formed) BENCH_sched.json so the points file
 // never goes stale silently.
@@ -215,7 +215,7 @@ int main() {
   std::vector<Cell> cells;
   if (!r2d::sched::kCompiled) {
     std::puts("sched_explore: scheduler compiled out (build with "
-              "-DR2D_SCHED=1 to explore schedules)");
+              "-DR2D_TESTHOOKS=1 to explore schedules)");
     emit_sched_json(cells);
     return 0;
   }

@@ -1,14 +1,14 @@
 // Deterministic, seeded fault injection (DESIGN.md §15).
 //
 // Every resource acquisition and CAS-retry loop in the library names a
-// *site* and asks `R2D_FAULT_POINT(site)` whether this evaluation should
-// fail. What "fail" means is the site's business — throw `bad_alloc`
-// before the allocation, pretend the magazine was empty, lose a shift
-// CAS without executing it — the injector only decides *when*, and it
-// decides deterministically: the same policy string, seed, and thread
-// schedule replay the same injections, which is what lets the OOM sweep
-// in tests/test_fault.cpp walk "fail exactly the Nth acquisition" for
-// every N and assert conservation after each.
+// *site* and asks `R2D_HOOK_POINT(site)` (sched/hook.hpp) whether this
+// evaluation should fail. What "fail" means is the site's business —
+// throw `bad_alloc` before the allocation, pretend the magazine was
+// empty, lose a shift CAS without executing it — the injector only
+// decides *when*, and it decides deterministically: the same policy
+// string, seed, and thread schedule replay the same injections, which is
+// what lets the OOM sweep in tests/test_fault.cpp walk "fail exactly the
+// Nth acquisition" for every N and assert conservation after each.
 //
 // Policies (env `R2D_FAULT`, seed `R2D_FAULT_SEED`):
 //   off          — never inject (the default).
@@ -24,15 +24,15 @@
 //   site:NAME:K  — the Kth evaluation of site NAME fails, exactly once
 //                  (per-site ordinal); other sites never fire.
 //
-// Two-level off switch mirroring obs/ (DESIGN.md §14): `-DR2D_FAULT=0`
-// (the DEFAULT) compiles `should_fail` to a constant false with full API
-// parity — every call site folds to nothing, verified by the ci.sh
-// overhead guard — while `-DR2D_FAULT=1` builds the real injector, which
-// still costs only one relaxed load per site when the policy is `off`.
+// Two-level off switch: the default build (`R2D_TESTHOOKS=0`) compiles
+// the stub Injector and folds every hook point to a constant false,
+// while `-DR2D_TESTHOOKS=1` builds the real injector, whose sites cost
+// one relaxed load of the shared armed word (util/testhooks.hpp) while
+// the policy is `off`.
 //
-// Layering: this header includes only util/env.hpp and the standard
-// library. obs/ counts injections through the `detail::on_inject` hook
-// it installs (never the other way around), so reclaim/ and core/ can
+// Layering: this header includes only util/ and the standard library.
+// obs/ counts injections through the `detail::on_inject` hook it
+// installs (never the other way around), so reclaim/ and core/ can
 // include this header without cycles.
 #pragma once
 
@@ -43,10 +43,7 @@
 #include <string>
 
 #include "util/env.hpp"
-
-#ifndef R2D_FAULT
-#define R2D_FAULT 0
-#endif
+#include "util/testhooks.hpp"
 
 namespace r2d::fault {
 
@@ -117,28 +114,15 @@ namespace detail {
 /// reclaim's slots_exhausted_annotator — fault/ stays ignorant of obs/.
 inline std::atomic<void (*)()> on_inject{nullptr};
 
-/// splitmix64: turns any seed (including 0) into a full-entropy xorshift
-/// state; also used to decorrelate per-thread streams.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace detail
 
-#if R2D_FAULT
+inline constexpr bool kCompiled = testhooks::kCompiled;
 
-inline constexpr bool kCompiled = true;
-
-template <bool Enabled>
-class Injector;
+#if R2D_TESTHOOKS
 
 /// The real injector: one process-wide instance configured from the
-/// environment at first use, reconfigurable at quiescence by tests.
-template <>
-class Injector<true> {
+/// environment before main, reconfigurable at quiescence by tests.
+class Injector {
  public:
   static Injector& get() {
     static Injector instance;
@@ -148,46 +132,20 @@ class Injector<true> {
   /// (Re)configure policy and seed. NOT safe against concurrent
   /// `evaluate` calls — call at quiescence (tests do, between phases).
   /// Also resets all ordinal/injection counters so `nth:K` restarts
-  /// from evaluation 1.
+  /// from evaluation 1, and sets the armed word's fault bit exactly
+  /// when the parsed policy is not off.
   void configure(const std::string& spec, std::uint64_t seed) {
     seed_ = seed != 0 ? seed : 0x2545f4914f6cdd1dull;
     reset_counts();
-    policy_.store(Policy::kOff, std::memory_order_relaxed);
-    if (spec.empty() || spec == "off") return;
-    if (spec.rfind("nth:", 0) == 0) {
-      nth_k_ = parse_u64(spec.substr(4));
-      if (nth_k_ != 0) policy_.store(Policy::kNth, std::memory_order_relaxed);
-    } else if (spec.rfind("rate:", 0) == 0) {
-      const double p = parse_f64(spec.substr(5));
-      if (p > 0.0) {
-        // Probability as a 64-bit threshold: fail when draw < p * 2^64.
-        rate_threshold_ = p >= 1.0
-                              ? ~std::uint64_t{0}
-                              : static_cast<std::uint64_t>(
-                                    p * 18446744073709551616.0);
-        policy_.store(Policy::kRate, std::memory_order_relaxed);
-      }
-    } else if (spec.rfind("site:", 0) == 0) {
-      const std::string rest = spec.substr(5);
-      const std::size_t colon = rest.rfind(':');
-      if (colon != std::string::npos) {
-        const Site s = site_from_name(rest.substr(0, colon));
-        const std::uint64_t k = parse_u64(rest.substr(colon + 1));
-        if (s != Site::kCount && k != 0) {
-          site_ = s;
-          site_k_ = k;
-          policy_.store(Policy::kSite, std::memory_order_relaxed);
-        }
-      }
-    }
+    const Policy p = parse(spec);
+    policy_.store(p, std::memory_order_relaxed);
+    testhooks::set_armed(testhooks::kFaultArmed, p != Policy::kOff);
   }
 
   /// The fault point. Returns true when this evaluation should fail.
-  /// One relaxed load when the policy is off; never throws.
+  /// Hook points reach it only while the fault bit is armed; never throws.
   bool evaluate(Site s) noexcept {
-    const Policy p = policy_.load(std::memory_order_relaxed);
-    if (p == Policy::kOff) return false;
-    switch (p) {
+    switch (policy_.load(std::memory_order_relaxed)) {
       case Policy::kNth: {
         const std::uint64_t ordinal =
             global_evals_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -249,6 +207,37 @@ class Injector<true> {
               util::env_u64_strict("R2D_FAULT_SEED", 0));
   }
 
+  /// Parse a policy spec into the policy fields; junk means off.
+  Policy parse(const std::string& spec) {
+    if (spec.rfind("nth:", 0) == 0) {
+      nth_k_ = parse_u64(spec.substr(4));
+      if (nth_k_ != 0) return Policy::kNth;
+    } else if (spec.rfind("rate:", 0) == 0) {
+      const double p = parse_f64(spec.substr(5));
+      if (p > 0.0) {
+        // Probability as a 64-bit threshold: fail when draw < p * 2^64.
+        rate_threshold_ = p >= 1.0
+                              ? ~std::uint64_t{0}
+                              : static_cast<std::uint64_t>(
+                                    p * 18446744073709551616.0);
+        return Policy::kRate;
+      }
+    } else if (spec.rfind("site:", 0) == 0) {
+      const std::string rest = spec.substr(5);
+      const std::size_t colon = rest.rfind(':');
+      if (colon != std::string::npos) {
+        const Site s = site_from_name(rest.substr(0, colon));
+        const std::uint64_t k = parse_u64(rest.substr(colon + 1));
+        if (s != Site::kCount && k != 0) {
+          site_ = s;
+          site_k_ = k;
+          return Policy::kSite;
+        }
+      }
+    }
+    return Policy::kOff;
+  }
+
   static std::uint64_t parse_u64(const std::string& s) {
     char* end = nullptr;
     const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
@@ -266,14 +255,9 @@ class Injector<true> {
   /// affects threads that have not drawn yet — tests reconfigure at
   /// quiescence, where every hammer thread is new).
   std::uint64_t next_draw() noexcept {
-    thread_local std::uint64_t state = detail::mix64(
+    thread_local std::uint64_t state = testhooks::mix64(
         seed_ ^ thread_ordinal_.fetch_add(1, std::memory_order_relaxed));
-    std::uint64_t x = state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    state = x;
-    return x * 0x2545f4914f6cdd1dull;
+    return testhooks::xorshift64star(state);
   }
 
   std::atomic<Policy> policy_{Policy::kOff};
@@ -289,38 +273,10 @@ class Injector<true> {
   std::array<std::atomic<std::uint64_t>, kSiteCount> site_injected_{};
 };
 
-/// Disabled specialization: full API, no state, never fires. Exists so
-/// tests can assert parity in the SAME binary that has the real one.
-template <>
-class Injector<false> {
- public:
-  static Injector& get() {
-    static Injector instance;
-    return instance;
-  }
-  void configure(const std::string&, std::uint64_t) {}
-  bool evaluate(Site) noexcept { return false; }
-  void reset_counts() {}
-  std::uint64_t evals() const { return 0; }
-  std::uint64_t injected() const { return 0; }
-  std::uint64_t injected(Site) const { return 0; }
-};
+#else  // R2D_TESTHOOKS == 0: the default — injection compiles to nothing.
 
-inline Injector<true>& injector() { return Injector<true>::get(); }
-
-template <Site S>
-inline bool should_fail() noexcept {
-  return injector().evaluate(S);
-}
-
-#else  // R2D_FAULT == 0: the default — injection compiles to nothing.
-
-inline constexpr bool kCompiled = false;
-
-/// API-parity stub: same members as the enabled injector, no state
-/// (sizeof == 1), every query zero. `should_fail` is a constant false,
-/// so `if (R2D_FAULT_POINT(...))` dead-code-eliminates at every site.
-template <bool Enabled = false>
+/// API-parity stub: same members as the real injector, no state
+/// (sizeof == 1), every query zero and no evaluation ever fails.
 class Injector {
  public:
   static Injector& get() {
@@ -335,18 +291,18 @@ class Injector {
   std::uint64_t injected(Site) const { return 0; }
 };
 
-inline Injector<>& injector() { return Injector<>::get(); }
+#endif  // R2D_TESTHOOKS
 
-template <Site S>
-constexpr bool should_fail() noexcept {
-  return false;
-}
+inline Injector& injector() { return Injector::get(); }
 
-#endif  // R2D_FAULT
+#if R2D_TESTHOOKS
+namespace detail {
+/// Hook points consult only the armed word, never the injector, so an
+/// env-selected policy must be read before the first hook point runs:
+/// this initializer constructs the injector (which parses R2D_FAULT and
+/// arms the fault bit) before main.
+inline const bool env_policy_loaded = (injector(), true);
+}  // namespace detail
+#endif
 
 }  // namespace r2d::fault
-
-/// The site marker threaded through the library. Reads as a predicate:
-///   if (R2D_FAULT_POINT(kHeapAlloc)) throw std::bad_alloc{};
-#define R2D_FAULT_POINT(site) \
-  (::r2d::fault::should_fail<::r2d::fault::Site::site>())

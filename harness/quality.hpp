@@ -13,7 +13,11 @@
 //
 // The ticket interleaving approximates the linearization, which is the
 // standard methodology for measuring relaxed-structure quality; the
-// guarantee above means a pop can never replay before its push.
+// guarantee above means a pop can never replay before its push. The
+// closed-loop runners (harness/runner.hpp) stamp a push on both sides and
+// keep the post-return stamp unless the item's pop stamped earlier, which
+// keeps that guarantee while leaving a preempted push's item out of the
+// replay's live set until the push really lands.
 #pragma once
 
 #include <algorithm>

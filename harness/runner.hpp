@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <optional>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/substack.hpp"  // hop_rand
@@ -159,19 +161,91 @@ ThroughputResult measure_throughput(const Workload& w, Prefill prefill,
   return r;
 }
 
-/// Shared quality accounting: per-thread ticket logs with the standard
+/// One worker's ticket tape. Every operation stamps the shared ticket
+/// counter as close to its linearization point as the caller can see:
+/// a pop right after it returns; a push both right before it starts
+/// (`invoke`) and right after it returns (`ticket`). The response stamp
+/// is the tighter one — for a CAS-based push only the return path
+/// separates it from the linearizing CAS, while the invoke stamp precedes
+/// the whole allocate / CAS-retry loop, so a worker preempted in that loop would otherwise
+/// leave its item "live" in the replay for the whole preemption. The
+/// invoke stamp is kept as the fallback settle_push_tickets() needs when
+/// a racing pop returns and stamps before the push does. The event is
+/// appended only after the operation's last stamp, so a log write that
+/// page-faults never widens a stamp-to-linearization window.
+class TicketTape {
+ public:
+  struct Entry {
+    quality::Event event;
+    std::uint64_t invoke = 0;  ///< pushes: the pre-push stamp
+  };
+
+  TicketTape(std::atomic<std::uint64_t>& clock, std::vector<Entry>& log)
+      : clock_(clock), log_(log) {}
+
+  /// Run `op` (which must push `label`) between two stamps.
+  template <typename Op>
+  void push(std::uint64_t label, bool front, Op&& op) {
+    const std::uint64_t invoke = stamp();
+    std::forward<Op>(op)();
+    const std::uint64_t response = stamp();
+    log_.push_back(Entry{quality::Event{response, label, true, front}, invoke});
+  }
+
+  /// Record a pop that has just returned `label`.
+  void popped(std::uint64_t label, bool front) {
+    const std::uint64_t response = stamp();
+    log_.push_back(Entry{quality::Event{response, label, false, front}, 0});
+  }
+
+ private:
+  std::uint64_t stamp() {
+    return clock_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  std::atomic<std::uint64_t>& clock_;
+  std::vector<Entry>& log_;
+};
+
+/// Turn merged tapes into replayable events: each push keeps its response
+/// stamp unless its item's pop stamped earlier, in which case it falls
+/// back to its invoke stamp — which precedes the push's linearization,
+/// hence the pop's, hence the pop's stamp. Either way a label's push
+/// ticket precedes its pop ticket, so no pop replays before its push.
+inline std::vector<quality::Event> settle_push_tickets(
+    std::vector<TicketTape::Entry> entries) {
+  std::unordered_map<std::uint64_t, std::uint64_t> pop_ticket;
+  pop_ticket.reserve(entries.size() / 2 + 1);
+  for (const TicketTape::Entry& e : entries) {
+    if (!e.event.is_push) pop_ticket.emplace(e.event.label, e.event.ticket);
+  }
+  std::vector<quality::Event> events;
+  events.reserve(entries.size());
+  for (const TicketTape::Entry& e : entries) {
+    quality::Event event = e.event;
+    if (event.is_push) {
+      const auto it = pop_ticket.find(event.label);
+      if (it != pop_ticket.end() && it->second < event.ticket) {
+        event.ticket = e.invoke;
+      }
+    }
+    events.push_back(event);
+  }
+  return events;
+}
+
+/// Shared quality accounting: per-thread ticket tapes with the standard
 /// event budget (the run ends early when any thread fills its log, so
-/// replay memory stays bounded), merged and replayed against `order`.
-/// `prefill(t, labels, log)` and `op(labels, log)` perform the operations
-/// and append their events through `log(label, is_push, front)`, which
-/// stamps the shared ticket.
+/// replay memory stays bounded), merged, settled and replayed against
+/// `order`. `prefill(t, labels, tape)` and `op(labels, tape)` perform the
+/// operations through TicketTape::push / TicketTape::popped.
 template <typename Prefill, typename Op>
 QualityResult measure_quality(const Workload& w, quality::Order order,
                               Prefill prefill, Op op) {
   const unsigned threads = std::max(1u, w.threads);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> ticket{0};
-  std::vector<std::vector<quality::Event>> logs(threads);
+  std::vector<std::vector<TicketTape::Entry>> logs(threads);
   std::vector<std::uint64_t> budgets(threads);
   std::vector<LabelSequence> labels;
   labels.reserve(threads);
@@ -179,22 +253,17 @@ QualityResult measure_quality(const Workload& w, quality::Order order,
     labels.emplace_back(t);
     budgets[t] = prefill_share(w, t) + w.quality_events;
   }
-  const auto logger = [&](unsigned t) {
-    return [&, t](std::uint64_t label, bool is_push, bool front = false) {
-      logs[t].push_back(quality::Event{
-          ticket.fetch_add(1, std::memory_order_relaxed), label, is_push,
-          front});
-    };
-  };
 
   drive(
       w, stop,
       [&](unsigned t) {
         logs[t].reserve(budgets[t] + 1);
-        prefill(t, labels[t], logger(t));
+        TicketTape tape(ticket, logs[t]);
+        prefill(t, labels[t], tape);
       },
       [&](unsigned t) {
-        op(labels[t], logger(t));
+        TicketTape tape(ticket, logs[t]);
+        op(labels[t], tape);
         if (logs[t].size() >= budgets[t]) {
           stop.store(true, std::memory_order_relaxed);
         }
@@ -202,15 +271,15 @@ QualityResult measure_quality(const Workload& w, quality::Order order,
 
   std::size_t total = 0;
   for (const auto& log : logs) total += log.size();
-  std::vector<quality::Event> events;
-  events.reserve(total);
+  std::vector<TicketTape::Entry> entries;
+  entries.reserve(total);
   for (auto& log : logs) {
-    events.insert(events.end(), log.begin(), log.end());
+    entries.insert(entries.end(), log.begin(), log.end());
     log.clear();
     log.shrink_to_fit();
   }
   const quality::ReplayResult replayed =
-      quality::replay(std::move(events), order);
+      quality::replay(settle_push_tickets(std::move(entries)), order);
 
   QualityResult q;
   q.mean_error = replayed.errors.mean();
@@ -245,21 +314,19 @@ template <RelaxedStack Stack>
 QualityResult run_quality(Stack& stack, const Workload& w) {
   return detail::measure_quality(
       w, quality::Order::kLifo,
-      [&](unsigned t, LabelSequence& labels, auto log) {
+      [&](unsigned t, LabelSequence& labels, detail::TicketTape& tape) {
         const std::uint64_t share = detail::prefill_share(w, t);
         for (std::uint64_t i = 0; i < share; ++i) {
           const std::uint64_t label = labels();
-          log(label, /*is_push=*/true);
-          stack.push(label);
+          tape.push(label, /*front=*/false, [&] { stack.push(label); });
         }
       },
-      [&](LabelSequence& labels, auto log) {
+      [&](LabelSequence& labels, detail::TicketTape& tape) {
         if (choose_push(w.push_ratio)) {
           const std::uint64_t label = labels();
-          log(label, /*is_push=*/true);
-          stack.push(label);
+          tape.push(label, /*front=*/false, [&] { stack.push(label); });
         } else if (const auto value = stack.pop()) {
-          log(static_cast<std::uint64_t>(*value), /*is_push=*/false);
+          tape.popped(static_cast<std::uint64_t>(*value), /*front=*/false);
         }
       });
 }
@@ -296,27 +363,27 @@ template <RelaxedDeque Deque>
 QualityResult run_quality_deque(Deque& deque, const Workload& w) {
   return detail::measure_quality(
       w, quality::Order::kDeque,
-      [&](unsigned t, LabelSequence& labels, auto log) {
+      [&](unsigned t, LabelSequence& labels, detail::TicketTape& tape) {
         const std::uint64_t share = detail::prefill_share(w, t);
         for (std::uint64_t i = 0; i < share; ++i) {
           const std::uint64_t label = labels();
-          log(label, /*is_push=*/true, /*front=*/false);
-          deque.push_back(label);
+          tape.push(label, /*front=*/false, [&] { deque.push_back(label); });
         }
       },
-      [&](LabelSequence& labels, auto log) {
+      [&](LabelSequence& labels, detail::TicketTape& tape) {
         const bool front = bernoulli(w.front_ratio);
         if (choose_push(w.push_ratio)) {
           const std::uint64_t label = labels();
-          log(label, /*is_push=*/true, front);
-          if (front) {
-            deque.push_front(label);
-          } else {
-            deque.push_back(label);
-          }
+          tape.push(label, front, [&] {
+            if (front) {
+              deque.push_front(label);
+            } else {
+              deque.push_back(label);
+            }
+          });
         } else if (const auto value =
                        front ? deque.pop_front() : deque.pop_back()) {
-          log(static_cast<std::uint64_t>(*value), /*is_push=*/false, front);
+          tape.popped(static_cast<std::uint64_t>(*value), front);
         }
       });
 }

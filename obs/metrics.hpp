@@ -18,8 +18,8 @@
 //     not loss), which is what lets the hot increment skip the registry's
 //     ownership revalidation entirely.
 //  2. The off switch is two-level. Compile time: building with R2D_OBS=0
-//     (CMake option, default ON) selects the Metrics<false> specialization,
-//     whose entire API is empty inline functions — obs::count<>() compiles
+//     (CMake option, default ON) selects the stub Metrics class, whose
+//     entire API is empty inline functions — obs::count<>() compiles
 //     to nothing and hot paths are byte-identical to an uninstrumented
 //     build. Run time: R2D_METRICS=0 (default 1) short-circuits add() after
 //     one predictable branch on a cached bool; scripts/ci.sh's overhead
@@ -122,8 +122,6 @@ enum class ShiftCause : std::uint8_t {
   kQueueGet,
   kBagPut,
   kBagTake,
-  kCounterInc,
-  kCounterDec,
   kDequeFrontPush,
   kDequeFrontPop,
   kDequeBackPush,
@@ -138,8 +136,6 @@ inline const char* to_string(ShiftCause c) {
     case ShiftCause::kQueueGet: return "queue-get";
     case ShiftCause::kBagPut: return "bag-put";
     case ShiftCause::kBagTake: return "bag-take";
-    case ShiftCause::kCounterInc: return "counter-inc";
-    case ShiftCause::kCounterDec: return "counter-dec";
     case ShiftCause::kDequeFrontPush: return "deque-front-push";
     case ShiftCause::kDequeFrontPop: return "deque-front-pop";
     case ShiftCause::kDequeBackPush: return "deque-back-push";
@@ -303,16 +299,10 @@ struct TraceEntry {
 
 }  // namespace detail
 
-template <bool Enabled>
-class Metrics;
-
 /// The enabled implementation: counter shards + trace rings over leased
 /// per-thread slots.
-template <>
-class Metrics<true> : private reclaim::detail::Lessor {
+class Metrics : private reclaim::detail::Lessor {
  public:
-  static constexpr bool kEnabled = true;
-
   /// One thread's shard: owner lease word, the counters, and this thread's
   /// ring cursor. Padded out to whole cache lines.
   struct alignas(64) Slot {
@@ -558,34 +548,10 @@ class Metrics<true> : private reclaim::detail::Lessor {
   std::atomic<std::uint64_t> folded_[kCounterCount] = {};
 };
 
-/// The disabled specialization: same API, no state, no code. sizeof == 1
-/// and every member is an empty inline function, so an R2D_OBS=0 build
-/// erases instrumentation entirely (tests/test_metrics.cpp pins both).
-template <>
-class Metrics<false> {
- public:
-  static constexpr bool kEnabled = false;
-  explicit Metrics(unsigned = 0) {}
-  void add(Counter, std::uint64_t = 1) {}
-  void record_shift(std::uint64_t, std::uint64_t, bool, ShiftCause) {}
-  Snapshot snapshot() const { return {}; }
-  template <typename Fn>
-  void visit_trace(Fn&&) const {}
-  void dump_trace(std::ostream&) const {}
-  void dump_trace_fd(int) const {}
-  std::size_t slot_hwm() const { return 0; }
-  unsigned trace_capacity() const { return 0; }
-  static Metrics& get() {
-    static Metrics instance;
-    return instance;
-  }
-};
-
 inline constexpr bool kCompiled = true;
-using EngineMetrics = Metrics<true>;
 
 /// The process-wide metrics the library's hot paths feed.
-inline EngineMetrics& metrics() { return EngineMetrics::get(); }
+inline Metrics& metrics() { return Metrics::get(); }
 
 /// Count `n` into the singleton. The template parameter keeps call sites
 /// terse and lets an R2D_OBS=0 build fold the whole call away.
@@ -650,9 +616,9 @@ inline void write_text(std::ostream& out, const Snapshot& s) {
   }
 }
 
-// ---- post-mortem hooks (installed by Metrics<true>::get()) ----------------
+// ---- post-mortem hooks (installed by Metrics::get()) ----------------------
 
-inline std::string Metrics<true>::annotate_exhaustion() {
+inline std::string Metrics::annotate_exhaustion() {
   if (!detail::runtime_enabled()) return {};
   const Snapshot s = get().snapshot();
   return " [obs: ops=" + std::to_string(s.ops()) +
@@ -665,7 +631,7 @@ inline std::string Metrics<true>::annotate_exhaustion() {
          std::to_string(s[Counter::kHazardOrphansAdopted]) + "]";
 }
 
-inline void Metrics<true>::crash_dump(int fd) {
+inline void Metrics::crash_dump(int fd) {
   if (!detail::runtime_enabled()) return;
   const Metrics& m = get();
   const Snapshot s = m.snapshot();
@@ -693,13 +659,12 @@ inline void Metrics<true>::crash_dump(int fd) {
 
 #else  // R2D_OBS == 0
 
-/// R2D_OBS=0: the whole subsystem is this stub. Both specializations exist
-/// (the parity test instantiates Metrics<true> too in enabled builds; here
-/// only the API shape matters) and every entry point is an empty inline.
-template <bool Enabled>
+/// R2D_OBS=0: the whole subsystem is this stub — same API as the enabled
+/// class, no state (sizeof == 1), every entry point an empty inline, so
+/// the build erases instrumentation entirely (tests/test_metrics.cpp pins
+/// the zero snapshot in this build).
 class Metrics {
  public:
-  static constexpr bool kEnabled = false;
   explicit Metrics(unsigned = 0) {}
   void add(Counter, std::uint64_t = 1) {}
   void record_shift(std::uint64_t, std::uint64_t, bool, ShiftCause) {}
@@ -718,9 +683,8 @@ class Metrics {
 };
 
 inline constexpr bool kCompiled = false;
-using EngineMetrics = Metrics<false>;
 
-inline EngineMetrics& metrics() { return EngineMetrics::get(); }
+inline Metrics& metrics() { return Metrics::get(); }
 
 template <Counter C>
 inline void count(std::uint64_t = 1) {}

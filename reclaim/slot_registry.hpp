@@ -51,7 +51,7 @@
 namespace r2d::reclaim {
 
 namespace detail {
-/// Installed by obs::Metrics<true>::get() (obs/metrics.hpp): returns a
+/// Installed by obs::Metrics::get() (obs/metrics.hpp): returns a
 /// metrics-snapshot suffix appended to SlotsExhausted's message (steal /
 /// exit-release / orphan-queue counts) so post-mortems carry state. A raw
 /// function pointer because obs/ includes this header, not vice versa.

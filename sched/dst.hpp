@@ -17,7 +17,7 @@
 // `R2D_SCHED_STEPS`):
 //   off      — scheduler compiled in but dormant; run() executes bodies
 //              on free-running threads (this arm feeds the ci.sh
-//              overhead guard for the R2D_SCHED=1 build).
+//              overhead guard for the R2D_TESTHOOKS=1 build).
 //   random   — at every hook point, pick the next runnable thread
 //              uniformly at random (classic rapos-style random walk).
 //   pct:D    — probabilistic concurrency testing: threads get random
@@ -43,14 +43,15 @@
 // points, not between arbitrary instructions — coverage is exactly as
 // good as the site list.
 //
-// Two-level off switch mirroring fault/ and obs/: `-DR2D_SCHED=0` (the
-// DEFAULT) compiles `preempt_point()` to nothing and the Scheduler to a
-// full-API-parity stub; `-DR2D_SCHED=1` builds the real scheduler,
-// which costs one relaxed load per hook point while dormant.
+// Two-level off switch shared with fault/: the default build
+// (`R2D_TESTHOOKS=0`) compiles `preempt_point()` to nothing and the
+// Scheduler to a full-API-parity stub; `-DR2D_TESTHOOKS=1` builds the
+// real scheduler, which costs one relaxed load of the shared armed word
+// (util/testhooks.hpp) per hook point while dormant.
 //
-// Layering: includes only util/env.hpp and the standard library, so
-// core/ and reclaim/ (via sched/hook.hpp) can include it without
-// cycles. obs/ and fault/ are unaware of sched/.
+// Layering: includes only util/ and the standard library, so core/ and
+// reclaim/ (via sched/hook.hpp) can include it without cycles. obs/ and
+// fault/ are unaware of sched/.
 #pragma once
 
 #include <atomic>
@@ -65,38 +66,22 @@
 #include <vector>
 
 #include "util/env.hpp"
-
-#ifndef R2D_SCHED
-#define R2D_SCHED 0
-#endif
+#include "util/testhooks.hpp"
 
 namespace r2d::sched {
 
 enum class Policy : std::uint8_t { kOff, kRandom, kPct };
 
-namespace detail {
+inline constexpr bool kCompiled = testhooks::kCompiled;
 
-/// splitmix64 (same constants as fault::detail::mix64, duplicated to
-/// keep sched/ ← fault/ out of the include graph).
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+#if R2D_TESTHOOKS
+
+/// True only while a run() with a non-off policy is in flight: the
+/// armed word's sched bit.
+inline bool in_seeded_run() {
+  return (testhooks::armed.load(std::memory_order_relaxed) &
+          testhooks::kSchedArmed) != 0;
 }
-
-}  // namespace detail
-
-#if R2D_SCHED
-
-inline constexpr bool kCompiled = true;
-
-namespace detail {
-/// True only while a run() with a non-off policy is in flight; the first
-/// (and usually only) cost of a hook point in a dormant R2D_SCHED=1
-/// build is this relaxed load.
-inline std::atomic<bool> active{false};
-}  // namespace detail
 
 /// The cooperative scheduler: one process-wide instance. Threads attach
 /// inside run(), after which exactly one attached thread executes at a
@@ -163,7 +148,7 @@ class Scheduler {
     if (n == 0) return 0;
     reset_run(n);
     const bool scheduling = policy_ != Policy::kOff;
-    if (scheduling) detail::active.store(true, std::memory_order_relaxed);
+    if (scheduling) testhooks::set_armed(testhooks::kSchedArmed, true);
     std::vector<std::thread> threads;
     threads.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
@@ -174,7 +159,7 @@ class Scheduler {
       });
     }
     for (auto& t : threads) t.join();
-    if (scheduling) detail::active.store(false, std::memory_order_relaxed);
+    if (scheduling) testhooks::set_armed(testhooks::kSchedArmed, false);
     return step_;
   }
 
@@ -195,10 +180,9 @@ class Scheduler {
   /// threads get a stream derived from (schedule seed, ordinal) so hop
   /// sequences replay; everyone else keeps `fallback` (address entropy).
   std::uint64_t stream_seed(std::uint64_t fallback) {
-    if (!detail::active.load(std::memory_order_relaxed)) return fallback;
-    ThreadRec* me = tls_rec();
+    ThreadRec* me = tls_rec();  // set only while attached to a seeded run
     if (me == nullptr) return fallback;
-    return detail::mix64(seed_ ^ (0x100000001b3ull * (me->ordinal + 1)));
+    return testhooks::mix64(seed_ ^ (0x100000001b3ull * (me->ordinal + 1)));
   }
 
  private:
@@ -221,20 +205,14 @@ class Scheduler {
     return rec;
   }
 
-  std::uint64_t next_rand() {  // xorshift64*; only the token holder draws
-    std::uint64_t x = rng_;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    rng_ = x;
-    return x * 0x2545f4914f6cdd1dull;
-  }
+  // Only the token holder draws, so the sequence is schedule-ordered.
+  std::uint64_t next_rand() { return testhooks::xorshift64star(rng_); }
 
   void reset_run(unsigned n) {
     std::lock_guard<std::mutex> lk(mu_);
     recs_.assign(n, ThreadRec{});
     for (unsigned i = 0; i < n; ++i) recs_[i].ordinal = i;
-    rng_ = detail::mix64(seed_);
+    rng_ = testhooks::mix64(seed_);
     step_ = 0;
     attached_ = 0;
     started_ = false;
@@ -381,22 +359,19 @@ class Scheduler {
   bool perturbed_ = false;
 };
 
-/// The hook-point entry: one relaxed load when no seeded run is in
-/// flight, a scheduling decision when one is.
+/// A preemption point outside the fault-site list: one relaxed load when
+/// no seeded run is in flight, a scheduling decision when one is.
 inline void preempt_point() {
-  if (!detail::active.load(std::memory_order_relaxed)) return;
-  Scheduler::get().preempt();
+  if (in_seeded_run()) Scheduler::get().preempt();
 }
 
 /// Deterministic seed hook for the library's thread-local RNG streams.
 inline std::uint64_t hop_seed(std::uint64_t fallback) {
-  if (!detail::active.load(std::memory_order_relaxed)) return fallback;
+  if (!in_seeded_run()) return fallback;
   return Scheduler::get().stream_seed(fallback);
 }
 
-#else  // R2D_SCHED == 0: the default — the scheduler compiles to nothing.
-
-inline constexpr bool kCompiled = false;
+#else  // R2D_TESTHOOKS == 0: the default — the scheduler compiles to nothing.
 
 /// API-parity stub (sizeof == 1, no state): tests assert against the
 /// same surface in both builds, and every preempt_point() folds away.
@@ -428,6 +403,6 @@ constexpr void preempt_point() {}
 
 constexpr std::uint64_t hop_seed(std::uint64_t fallback) { return fallback; }
 
-#endif  // R2D_SCHED
+#endif  // R2D_TESTHOOKS
 
 }  // namespace r2d::sched

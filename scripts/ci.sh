@@ -14,12 +14,13 @@
 # bench/service_dispatch.cpp for the schemas).
 #
 # Every config also builds and tests with -DR2D_OBS=0 (the obs subsystem
-# compiled out), with -DR2D_FAULT=1 (injector in), and with -DR2D_SCHED=1
-# (deterministic scheduler in, including a seeded schedule sweep that
-# crosses 1000 history-checked schedules in the plain config and writes
-# BENCH_sched.json). The plain config ends with overhead guards: paired
-# Release micro_ops runs — metrics-on vs R2D_OBS=0, default vs dormant
-# R2D_FAULT=1, default vs dormant R2D_SCHED=1 — must each stay within 5%.
+# compiled out) and with -DR2D_TESTHOOKS=1 (fault injector + deterministic
+# scheduler in: fault tortures, plus a seeded schedule sweep that crosses
+# 1000 history-checked schedules in the plain config and writes
+# BENCH_sched.json) — three trees per sanitizer config. The plain config
+# adds three Release trees and ends with two overhead guards
+# (scripts/ab_guard.py): metrics-on vs R2D_OBS=0 and default vs dormant
+# R2D_TESTHOOKS=1 must each stay within 5%.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,41 +33,34 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 180 -j "$(nproc)"
 
 # Zero-cost-when-off is a build-matrix claim, not just a perf claim: every
 # config (plain/asan/tsan) also compiles and tests with the obs subsystem
-# stubbed out, so the disabled specializations keep full API parity and no
+# stubbed out, so the stub Metrics class keeps full API parity and no
 # instrumented call site grows an #ifdef.
 echo "=== off-build: R2D_OBS=0 ==="
 cmake -B "$BUILD_DIR-noobs" -S . -DR2D_SANITIZER="$SANITIZER" -DR2D_OBS=0
 cmake --build "$BUILD_DIR-noobs" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR-noobs" --output-on-failure --timeout 180 -j "$(nproc)"
 
-# Fault-injection arm (DESIGN.md §15): every config (plain/asan/tsan) also
-# builds with the injector compiled in and runs the full tier-1 suite —
-# test_fault's deterministic nth-site OOM sweep and forced-DWCAS hammer
-# only bite here (the default build compiles injection to nothing).
-echo "=== fault build: R2D_FAULT=1 ==="
-cmake -B "$BUILD_DIR-fault" -S . -DR2D_SANITIZER="$SANITIZER" -DR2D_FAULT=1
-cmake --build "$BUILD_DIR-fault" -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR-fault" --output-on-failure --timeout 180 -j "$(nproc)"
+# Test-hook arm (DESIGN.md §15/§16): every config (plain/asan/tsan) also
+# builds with the fault injector and the deterministic scheduler compiled
+# in together and runs the full tier-1 suite — test_fault's deterministic
+# nth-site OOM sweep and forced-DWCAS hammer, and test_sched's replay,
+# linearizability and k-bound checks, only bite here (the default build
+# folds every hook point to `false`).
+HOOKS_DIR="$BUILD_DIR-testhooks"
+echo "=== test-hook build: R2D_TESTHOOKS=1 ==="
+cmake -B "$HOOKS_DIR" -S . -DR2D_SANITIZER="$SANITIZER" -DR2D_TESTHOOKS=1
+cmake --build "$HOOKS_DIR" -j "$(nproc)"
+ctest --test-dir "$HOOKS_DIR" --output-on-failure --timeout 180 -j "$(nproc)"
 # Rate torture: the same binary re-run under an env-selected random
 # injection policy — 4-thread hammers where ~2% of every resource
 # acquisition, steal pass, shift CAS, and DWCAS fails, with multiset
 # conservation asserted after the storm.
 echo "=== fault rate torture: R2D_FAULT=rate:0.02 ==="
-R2D_FAULT=rate:0.02 R2D_FAULT_SEED=7 "$BUILD_DIR-fault/tests/test_fault"
+R2D_FAULT=rate:0.02 R2D_FAULT_SEED=7 "$HOOKS_DIR/tests/test_fault"
 # Deterministic single-shot replay of the same binary under a global-nth
 # policy, exercising the env-configured (not test-configured) path.
 echo "=== fault env torture: R2D_FAULT=nth:1000 ==="
-R2D_FAULT=nth:1000 R2D_FAULT_SEED=7 "$BUILD_DIR-fault/tests/test_fault"
-
-# Scheduler arm (DESIGN.md §16): every config also builds with the sched/
-# deterministic scheduler compiled in and runs the full tier-1 suite —
-# test_sched's replay-determinism, linearizability, and k-bound checks
-# only explore schedules here (the default build stubs the scheduler).
-echo "=== sched build: R2D_SCHED=1 ==="
-cmake -B "$BUILD_DIR-sched" -S . -DR2D_SANITIZER="$SANITIZER" -DR2D_SCHED=1
-cmake --build "$BUILD_DIR-sched" -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR-sched" --output-on-failure --timeout 180 \
-  -j "$(nproc)"
+R2D_FAULT=nth:1000 R2D_FAULT_SEED=7 "$HOOKS_DIR/tests/test_fault"
 # Seed sweep: seeds x {random, pct:1, pct:3} x 5 history-checked suites
 # per seed. The plain config crosses the 1000-schedule bar (70*3*5 =
 # 1050 + the fixed replay/budget schedules); sanitizer configs run a
@@ -78,14 +72,14 @@ else
   SCHED_SWEEP_SEEDS=12
 fi
 echo "=== sched seed sweep: $SCHED_SWEEP_SEEDS seeds x 3 policies ==="
-R2D_SCHED_SWEEP_SEEDS="$SCHED_SWEEP_SEEDS" "$BUILD_DIR-sched/tests/test_sched"
+R2D_SCHED_SWEEP_SEEDS="$SCHED_SWEEP_SEEDS" "$HOOKS_DIR/tests/test_sched"
 # Exploration bench smoke: the sweep table + BENCH_sched.json must report
 # zero oracle violations and zero perturbed (budget-blown) runs.
 echo "=== smoke: sched_explore -> BENCH_sched.json ==="
 rm -f BENCH_sched.json
 R2D_GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
   R2D_SCHED_SWEEP_SEEDS=8 R2D_BENCH_JSON=BENCH_sched.json \
-  "$BUILD_DIR-sched/sched_explore"
+  "$HOOKS_DIR/sched_explore"
 test -s BENCH_sched.json
 grep -q '"sched_compiled": true' BENCH_sched.json
 grep -q '"policy": "pct:3"' BENCH_sched.json
@@ -230,197 +224,30 @@ if [ -z "$SANITIZER" ]; then
   grep -q '"degraded_entries"' BENCH_service.json
   grep -q '"degraded"' BENCH_service.json
 
-  # Overhead guard: metrics-on (runtime default) vs an R2D_OBS=0 build of
-  # the same Release tree must stay within 5% on the single-threaded
-  # micro_ops fast paths. Best-of-3 per benchmark, runs interleaved so
-  # thermal drift hits both sides equally.
+  # Overhead guards (scripts/ab_guard.py: five interleaved runs per side
+  # of the single-threaded micro_ops fast paths, best-of-5 per benchmark,
+  # suite geomean ≤ 5%). Metrics-on (runtime default) vs an R2D_OBS=0
+  # build bounds the enabled obs cost; a dormant R2D_TESTHOOKS=1 build vs
+  # the default one measures the "one relaxed load per hook point" claim.
+  # The default build's own zero cost is structural: every hook point
+  # folds to a constant false (test_fault and test_sched assert the
+  # stubs' parity).
   NOOBS_PERF_DIR=build-perf-noobs
+  HOOKS_PERF_DIR=build-perf-testhooks
   cmake -B "$NOOBS_PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
     -DR2D_SANITIZER= -DR2D_OBS=0
   cmake --build "$NOOBS_PERF_DIR" -j "$(nproc)"
-  if [ -x "$PERF_DIR/micro_ops" ] && [ -x "$NOOBS_PERF_DIR/micro_ops" ]; then
-    echo "=== overhead guard: metrics-on vs R2D_OBS=0 micro_ops ==="
-    # --benchmark_out, not --benchmark_format: the display side is pinned
-    # to the capturing console reporter, but the file reporter still
-    # honors the out-format flags.
-    for i in 1 2 3 4 5; do
-      R2D_METRICS=1 "$PERF_DIR/micro_ops" --benchmark_filter='single/' \
-        --benchmark_min_time=0.05 --benchmark_out="obs_on_$i.json" \
-        --benchmark_out_format=json > /dev/null
-      "$NOOBS_PERF_DIR/micro_ops" --benchmark_filter='single/' \
-        --benchmark_min_time=0.05 --benchmark_out="obs_off_$i.json" \
-        --benchmark_out_format=json > /dev/null
-    done
-    # Suite-level criterion (geomean of best-of-5 ratios): single-benchmark
-    # ratios on shared CI hosts swing several percent between *identical*
-    # binaries, so a per-benchmark assertion would flake on noise; the
-    # geomean across the 50/50 suite is what the 5% budget bounds.
-    python3 - <<'PY'
-import json
-import math
-
-def best(paths):
-    out = {}
-    for p in paths:
-        with open(p) as f:
-            rows = json.load(f)["benchmarks"]
-        for b in rows:
-            t = b["real_time"]
-            if b["name"] not in out or t < out[b["name"]]:
-                out[b["name"]] = t
-    return out
-
-on = best(["obs_on_%d.json" % i for i in (1, 2, 3, 4, 5)])
-off = best(["obs_off_%d.json" % i for i in (1, 2, 3, 4, 5)])
-logsum, n = 0.0, 0
-for name in sorted(off):
-    if name not in on:
-        continue
-    ratio = on[name] / off[name]
-    logsum += math.log(ratio)
-    n += 1
-    print("  %-40s off=%8.1fns on=%8.1fns (%+.1f%%)"
-          % (name, off[name], on[name], 100.0 * (ratio - 1.0)))
-if n == 0:
-    raise SystemExit("overhead guard: no common benchmarks")
-geomean = math.exp(logsum / n) - 1.0
-if geomean > 0.05:
-    raise SystemExit("metrics overhead %.1f%% (geomean) exceeds the 5%% "
-                     "budget" % (100.0 * geomean))
-print("overhead guard: geomean %+.1f%% over %d benchmarks (budget 5%%)"
-      % (100.0 * geomean, n))
-PY
-    rm -f obs_on_1.json obs_on_2.json obs_on_3.json obs_on_4.json \
-          obs_on_5.json obs_off_1.json obs_off_2.json obs_off_3.json \
-          obs_off_4.json obs_off_5.json
+  cmake -B "$HOOKS_PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+    -DR2D_SANITIZER= -DR2D_TESTHOOKS=1
+  cmake --build "$HOOKS_PERF_DIR" -j "$(nproc)"
+  if [ -x "$PERF_DIR/micro_ops" ]; then
+    python3 scripts/ab_guard.py "metrics-on vs R2D_OBS=0" \
+      "$NOOBS_PERF_DIR/micro_ops" "$PERF_DIR/micro_ops" R2D_METRICS=1
+    python3 scripts/ab_guard.py "dormant R2D_TESTHOOKS=1 vs default" \
+      "$PERF_DIR/micro_ops" "$HOOKS_PERF_DIR/micro_ops" \
+      R2D_FAULT=off R2D_SCHED=off
   else
-    echo "overhead guard: micro_ops not built (no google-benchmark); skipped"
-  fi
-
-  # Fault overhead guard (same harness shape as the obs one): a Release
-  # build with the injector compiled in but its policy off must stay
-  # within 5% (geomean) of the default build — the "one relaxed load per
-  # site" claim, measured. The default build's own zero cost is
-  # structural: should_fail is constexpr false, so every fault point
-  # dead-code-eliminates (test_fault asserts the API parity).
-  FAULT_PERF_DIR=build-perf-fault
-  cmake -B "$FAULT_PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
-    -DR2D_SANITIZER= -DR2D_FAULT=1
-  cmake --build "$FAULT_PERF_DIR" -j "$(nproc)"
-  if [ -x "$PERF_DIR/micro_ops" ] && [ -x "$FAULT_PERF_DIR/micro_ops" ]; then
-    echo "=== overhead guard: default vs R2D_FAULT=1 (policy off) ==="
-    for i in 1 2 3 4 5; do
-      R2D_FAULT=off "$FAULT_PERF_DIR/micro_ops" \
-        --benchmark_filter='single/' --benchmark_min_time=0.05 \
-        --benchmark_out="fault_on_$i.json" --benchmark_out_format=json \
-        > /dev/null
-      "$PERF_DIR/micro_ops" --benchmark_filter='single/' \
-        --benchmark_min_time=0.05 --benchmark_out="fault_off_$i.json" \
-        --benchmark_out_format=json > /dev/null
-    done
-    python3 - <<'PY'
-import json
-import math
-
-def best(paths):
-    out = {}
-    for p in paths:
-        with open(p) as f:
-            rows = json.load(f)["benchmarks"]
-        for b in rows:
-            t = b["real_time"]
-            if b["name"] not in out or t < out[b["name"]]:
-                out[b["name"]] = t
-    return out
-
-on = best(["fault_on_%d.json" % i for i in (1, 2, 3, 4, 5)])
-off = best(["fault_off_%d.json" % i for i in (1, 2, 3, 4, 5)])
-logsum, n = 0.0, 0
-for name in sorted(off):
-    if name not in on:
-        continue
-    ratio = on[name] / off[name]
-    logsum += math.log(ratio)
-    n += 1
-    print("  %-40s off=%8.1fns on=%8.1fns (%+.1f%%)"
-          % (name, off[name], on[name], 100.0 * (ratio - 1.0)))
-if n == 0:
-    raise SystemExit("fault overhead guard: no common benchmarks")
-geomean = math.exp(logsum / n) - 1.0
-if geomean > 0.05:
-    raise SystemExit("fault-injection overhead %.1f%% (geomean) exceeds "
-                     "the 5%% budget" % (100.0 * geomean))
-print("fault overhead guard: geomean %+.1f%% over %d benchmarks "
-      "(budget 5%%)" % (100.0 * geomean, n))
-PY
-    rm -f fault_on_1.json fault_on_2.json fault_on_3.json fault_on_4.json \
-          fault_on_5.json fault_off_1.json fault_off_2.json \
-          fault_off_3.json fault_off_4.json fault_off_5.json
-  else
-    echo "fault overhead guard: micro_ops not built; skipped"
-  fi
-
-  # Sched overhead guard (same harness shape): a Release build with the
-  # scheduler compiled in but dormant (R2D_SCHED=off) must stay within 5%
-  # (geomean) of the default build — the cost of a dormant hook point is
-  # one relaxed load, measured. The default build's zero cost is
-  # structural: preempt_point() is constexpr empty (test_sched asserts
-  # the stub's API parity).
-  SCHED_PERF_DIR=build-perf-sched
-  cmake -B "$SCHED_PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
-    -DR2D_SANITIZER= -DR2D_SCHED=1
-  cmake --build "$SCHED_PERF_DIR" -j "$(nproc)"
-  if [ -x "$PERF_DIR/micro_ops" ] && [ -x "$SCHED_PERF_DIR/micro_ops" ]; then
-    echo "=== overhead guard: default vs R2D_SCHED=1 (policy off) ==="
-    for i in 1 2 3 4 5; do
-      R2D_SCHED=off "$SCHED_PERF_DIR/micro_ops" \
-        --benchmark_filter='single/' --benchmark_min_time=0.05 \
-        --benchmark_out="sched_on_$i.json" --benchmark_out_format=json \
-        > /dev/null
-      "$PERF_DIR/micro_ops" --benchmark_filter='single/' \
-        --benchmark_min_time=0.05 --benchmark_out="sched_off_$i.json" \
-        --benchmark_out_format=json > /dev/null
-    done
-    python3 - <<'PY'
-import json
-import math
-
-def best(paths):
-    out = {}
-    for p in paths:
-        with open(p) as f:
-            rows = json.load(f)["benchmarks"]
-        for b in rows:
-            t = b["real_time"]
-            if b["name"] not in out or t < out[b["name"]]:
-                out[b["name"]] = t
-    return out
-
-on = best(["sched_on_%d.json" % i for i in (1, 2, 3, 4, 5)])
-off = best(["sched_off_%d.json" % i for i in (1, 2, 3, 4, 5)])
-logsum, n = 0.0, 0
-for name in sorted(off):
-    if name not in on:
-        continue
-    ratio = on[name] / off[name]
-    logsum += math.log(ratio)
-    n += 1
-    print("  %-40s off=%8.1fns on=%8.1fns (%+.1f%%)"
-          % (name, off[name], on[name], 100.0 * (ratio - 1.0)))
-if n == 0:
-    raise SystemExit("sched overhead guard: no common benchmarks")
-geomean = math.exp(logsum / n) - 1.0
-if geomean > 0.05:
-    raise SystemExit("dormant-scheduler overhead %.1f%% (geomean) exceeds "
-                     "the 5%% budget" % (100.0 * geomean))
-print("sched overhead guard: geomean %+.1f%% over %d benchmarks "
-      "(budget 5%%)" % (100.0 * geomean, n))
-PY
-    rm -f sched_on_1.json sched_on_2.json sched_on_3.json sched_on_4.json \
-          sched_on_5.json sched_off_1.json sched_off_2.json \
-          sched_off_3.json sched_off_4.json sched_off_5.json
-  else
-    echo "sched overhead guard: micro_ops not built; skipped"
+    echo "overhead guards: micro_ops not built (no google-benchmark); skipped"
   fi
 fi
 

@@ -1,5 +1,5 @@
 // Fault-injection correctness (DESIGN.md §15): injector policy semantics
-// and API parity across the R2D_FAULT on/off builds, the deterministic
+// and API parity across the test-hook on/off builds, the deterministic
 // nth-site OOM sweep (fail exactly the Nth resource acquisition, for every
 // N the scripted run reaches, and prove multiset conservation after each),
 // a forced-DWCAS helping hammer, and the 4-thread retry/backoff/deadline
@@ -8,9 +8,9 @@
 // Two modes: when the R2D_FAULT env var selects a live policy (ci.sh's
 // rate-torture stage), the process-wide injector self-configures from the
 // environment and this binary runs only the concurrent hammers under it.
-// Otherwise it runs the full deterministic suite; in an -DR2D_FAULT=0
-// build the injection-dependent checks degenerate to single clean passes
-// through the same code paths (API parity is still asserted).
+// Otherwise it runs the full deterministic suite; in the default build
+// (R2D_TESTHOOKS=0) the injection-dependent checks degenerate to single
+// clean passes through the same code paths (API parity is still asserted).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +30,7 @@
 #include "reclaim/alloc.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
+#include "sched/hook.hpp"
 #include "check.hpp"
 
 namespace {
@@ -93,12 +94,12 @@ void check_api_parity() {
   CHECK_EQ(inj.injected(), std::uint64_t{0});
   CHECK_EQ(inj.injected(Site::kHeapAlloc), std::uint64_t{0});
   inj.reset_counts();
-  CHECK(!R2D_FAULT_POINT(kHeapAlloc));
-#if !R2D_FAULT
-  // Off-build parity: the stub is stateless and the fault point folds to
+  CHECK(!R2D_HOOK_POINT(kHeapAlloc));
+#if !R2D_TESTHOOKS
+  // Off-build parity: the stub is stateless and the hook point folds to
   // a compile-time constant at every call site.
-  static_assert(sizeof(r2d::fault::Injector<>) <= sizeof(void*));
-  static_assert(!r2d::fault::should_fail<Site::kShiftCas>());
+  static_assert(sizeof(r2d::fault::Injector) <= sizeof(void*));
+  static_assert(!R2D_HOOK_POINT(kShiftCas));
 #endif
   // The site name table is total and invertible.
   for (unsigned i = 0; i < r2d::fault::kSiteCount; ++i) {
@@ -228,9 +229,10 @@ void check_oom_sweeps() {
 /// 4 threads hammer `c` with inserts and removes while the current
 /// injection policy fires; then injection is disabled, the container is
 /// drained, and the union of everything popped plus everything drained
-/// must equal — as a multiset — everything successfully pushed.
+/// must equal — as a multiset — everything successfully pushed. Returns
+/// how many faults the policy injected during the hammer.
 template <typename C>
-void conservation_hammer(C& c, const char* label) {
+std::uint64_t conservation_hammer(C& c, const char* label) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kOps = 20000;
   std::vector<std::vector<std::uint64_t>> pushed(kThreads);
@@ -249,6 +251,7 @@ void conservation_hammer(C& c, const char* label) {
     });
   }
   for (auto& th : threads) th.join();
+  const std::uint64_t fired = r2d::fault::injector().injected();
   r2d::fault::injector().configure("off", 0);
 
   std::multiset<std::uint64_t> expect;
@@ -261,7 +264,9 @@ void conservation_hammer(C& c, const char* label) {
   CHECK(c.empty());
   CHECK_EQ(expect.size(), got.size());
   CHECK(expect == got);
-  std::printf("  hammer %-30s pushed=%zu\n", label, expect.size());
+  std::printf("  hammer %-30s pushed=%zu injected=%llu\n", label,
+              expect.size(), static_cast<unsigned long long>(fired));
+  return fired;
 }
 
 /// Forced-DWCAS failures drive the deque's helping/bridge machinery far
@@ -270,16 +275,18 @@ void check_dwcas_helping_hammer() {
   if constexpr (!r2d::fault::kCompiled) return;
   r2d::TwoDDeque<std::uint64_t> deque(small_params());
   r2d::fault::injector().configure("rate:0.05", 7);
-  conservation_hammer(deque, "deque forced-dwcas");
+  CHECK(conservation_hammer(deque, "deque forced-dwcas") > 0);
 }
 
 /// ci.sh rate-torture entry: the injector already self-configured from
-/// the R2D_FAULT env var; hammer a stack and a deque under it.
+/// the R2D_FAULT env var before main; hammer a stack and a deque under
+/// it. The stack hammer runs first, so the env policy must have fired
+/// there without any explicit configure() call.
 void run_env_torture() {
   {
     r2d::TwoDStack<std::uint64_t, EpochReclaimer, HeapAlloc> stack(
         small_params());
-    conservation_hammer(stack, "stack env-policy");
+    CHECK(conservation_hammer(stack, "stack env-policy") > 0);
   }
   // Reinstate the env policy (the hammer leaves injection off).
   r2d::fault::injector().configure(

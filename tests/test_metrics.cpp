@@ -3,8 +3,8 @@
 // proof* (a thread's counts survive its exit via the fold-on-release path
 // and its slot is reused, not leaked), *stable* (snapshots taken while
 // counting runs are monotone per counter as long as no thread exits), and
-// *honest when off* (the disabled specialization has the same API, no
-// state, and a zero snapshot). The shift-trace ring must wrap keeping the
+// *honest when off* (the R2D_OBS=0 stub has the same API, no state, and
+// a zero snapshot). The shift-trace ring must wrap keeping the
 // newest events, and the latency histogram must tally top-bucket
 // saturation instead of silently clamping.
 //
@@ -41,19 +41,24 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-/// The disabled specialization: full API parity, no state, zero snapshot.
+/// The R2D_OBS=0 stub, checked in the build that uses it: full API
+/// parity, no state, zero snapshot, no trace — run last, after the
+/// hammers above drove real containers through the library singleton.
 void disabled_parity() {
-  obs::Metrics<false>& off = obs::Metrics<false>::get();
-  off.add(obs::Counter::kProbes, 3);
-  off.record_shift(1, 2, true, obs::ShiftCause::kStackPush);
-  const obs::Snapshot s = off.snapshot();
-  for (unsigned i = 0; i < obs::kCounterCount; ++i) CHECK_EQ(s.c[i], 0u);
-  CHECK(sizeof(obs::Metrics<false>) <= sizeof(void*));
-  CHECK_EQ(off.slot_hwm(), 0u);
-  CHECK_EQ(off.trace_capacity(), 0u);
-  std::size_t events = 0;
-  off.visit_trace([&](const obs::ShiftEvent&) { ++events; });
-  CHECK_EQ(events, 0u);
+  if constexpr (!obs::kCompiled) {
+    obs::Metrics& off = obs::metrics();
+    obs::count<obs::Counter::kProbes>(3);
+    off.add(obs::Counter::kProbes, 3);
+    obs::record_shift(1, 2, true, obs::ShiftCause::kStackPush);
+    const obs::Snapshot s = off.snapshot();
+    for (unsigned i = 0; i < obs::kCounterCount; ++i) CHECK_EQ(s.c[i], 0u);
+    CHECK(sizeof(obs::Metrics) <= sizeof(void*));
+    CHECK_EQ(off.slot_hwm(), 0u);
+    CHECK_EQ(off.trace_capacity(), 0u);
+    std::size_t events = 0;
+    off.visit_trace([&](const obs::ShiftEvent&) { ++events; });
+    CHECK_EQ(events, 0u);
+  }
 }
 
 /// Saturating samples land in the top bucket AND the saturated tally;
@@ -82,7 +87,7 @@ void histogram_saturation() {
 /// A thread's counts survive its exit: the exit walk folds the slot into
 /// the global array, and sequential churn reuses the freed slot.
 void fold_on_thread_exit() {
-  obs::Metrics<true> m(0);  // local instance, tracing off
+  obs::Metrics m(0);  // local instance, tracing off
   std::thread([&m] { m.add(obs::Counter::kProbes, 41); }).join();
   if constexpr (obs::kCompiled) {
     CHECK_EQ(m.snapshot()[obs::Counter::kProbes], 41u);
@@ -100,7 +105,7 @@ void fold_on_thread_exit() {
 /// The trace ring wraps keeping the newest trace_capacity() events,
 /// oldest-first within the ring.
 void ring_wrap() {
-  obs::Metrics<true> m(8);
+  obs::Metrics m(8);
   for (std::uint64_t i = 0; i < 20; ++i) {
     m.record_shift(i, i + 1, (i & 1) != 0, obs::ShiftCause::kBagPut);
   }
@@ -212,12 +217,12 @@ int main() {
   // Pin the runtime switch before anything caches it: these tests assert
   // counts, so they must run with metrics on regardless of ambient env.
   setenv("R2D_METRICS", "1", 1);
-  disabled_parity();
   histogram_saturation();
   fold_on_thread_exit();
   ring_wrap();
   conservation_hammer();
   snapshot_monotone_while_running();
   json_export();
+  disabled_parity();
   return TEST_MAIN_RESULT();
 }

@@ -1,6 +1,8 @@
 // Quality-oracle sanity: hand-built logs replay to known rank errors, and
 // a strict stack measured end-to-end reports zero error.
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/params.hpp"
@@ -60,6 +62,26 @@ int main() {
     const auto r = replay(log, Order::kLifo);
     CHECK_EQ(r.errors.max(), 1.0);
     CHECK_EQ(r.errors.count(), std::uint64_t{3});
+  }
+
+  {
+    // Two-stamp pushes settle to their response stamp, unless the item's
+    // pop stamped first (a racing pop); then to the invoke stamp.
+    using Entry = r2d::harness::detail::TicketTape::Entry;
+    std::vector<Entry> tape = {{{5, 10, true}, 0},   // push a: invoke 0, response 5
+                               {{3, 20, true}, 1},   // push b: invoke 1, response 3
+                               {{4, 20, false}, 0},  // pop b after b's response
+                               {{2, 10, false}, 0}}; // pop a before a's response
+    const auto events =
+        r2d::harness::detail::settle_push_tickets(std::move(tape));
+    CHECK_EQ(events.size(), std::size_t{4});
+    CHECK_EQ(events[0].ticket, std::uint64_t{0});
+    CHECK_EQ(events[1].ticket, std::uint64_t{3});
+    CHECK_EQ(events[2].ticket, std::uint64_t{4});
+    CHECK_EQ(events[3].ticket, std::uint64_t{2});
+    const auto r = replay(events, Order::kLifo);
+    CHECK_EQ(r.unknown_labels, std::uint64_t{0});
+    CHECK_EQ(r.errors.count(), std::uint64_t{2});
   }
 
   // End-to-end: single-threaded, tickets are the exact linearization, so a

@@ -1,12 +1,13 @@
 // sched/ deterministic-scheduler suite.
 //
 // Always-on here: the history checkers (linearizability + the quality
-// bridge) and the stub's API parity. Under -DR2D_SCHED=1 the real work:
-// bit-identical replay of seeded schedules, linearizability of the
-// strict baselines under adversarial interleavings, and the k / per-end
+// bridge) and the stub's API parity. Under -DR2D_TESTHOOKS=1 the real
+// work: bit-identical replay of seeded schedules (also with a fault
+// policy armed inside the schedule), linearizability of the strict
+// baselines under adversarial interleavings, and the k / per-end
 // rank-error bound of TwoDStack / TwoDDeque checked per schedule across
 // a seed sweep (R2D_SCHED_SWEEP_SEEDS seeds x 3 policies; the ci.sh
-// sched arm raises the sweep past 1000 schedules).
+// test-hook arm raises the sweep past 1000 schedules).
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -19,6 +20,7 @@
 #include "core/two_d_queue.hpp"
 #include "core/two_d_stack.hpp"
 #include "core/two_d_bag.hpp"
+#include "fault/inject.hpp"
 #include "harness/quality.hpp"
 #include "sched/dst.hpp"
 #include "sched/history.hpp"
@@ -106,7 +108,7 @@ void check_api_parity() {
   CHECK(!sched.perturbed());
   r2d::sched::preempt_point();  // callable in every build
   CHECK_EQ(r2d::sched::hop_seed(42u), std::uint64_t{42});
-#if !R2D_SCHED
+#if !R2D_TESTHOOKS
   static_assert(!r2d::sched::kCompiled);
   CHECK_EQ(sched.steps_taken(), std::uint64_t{0});
   // run() still executes bodies (free-running) in the stub build.
@@ -120,7 +122,7 @@ void check_api_parity() {
 #endif
 }
 
-#if R2D_SCHED
+#if R2D_TESTHOOKS
 
 struct SweepStats {
   std::uint64_t schedules = 0;
@@ -146,8 +148,7 @@ void run_schedule(const std::string& spec, std::uint64_t seed,
 }
 
 /// Guard that prints the one-line reproducer when a schedule's checks
-/// failed — the contract the ISSUE asks for: any failing run is
-/// replayable from its printed line.
+/// failed: any failing run is replayable from its printed line.
 class ReproducerOnFailure {
  public:
   ReproducerOnFailure() : before_(r2d::test::failures()) {}
@@ -266,6 +267,26 @@ void check_deque_per_end_bound(const std::string& spec, std::uint64_t seed) {
   CHECK(replayed.errors.max() <= static_cast<double>(params.k_bound()));
 }
 
+/// Every value whose push succeeded comes out exactly once across the
+/// history's successful pops plus the post-run `drain` (which returns
+/// nullopt once the container is empty).
+template <typename Drain>
+void check_conserved(const History& h, Drain&& drain) {
+  std::map<std::uint64_t, int> balance;
+  for (const Op& op : h.merged()) {
+    if (!op.ok) continue;
+    balance[op.value] += op.kind == OpKind::kPush ? 1 : -1;
+  }
+  while (auto v = drain()) balance[*v] -= 1;
+  for (const auto& [value, count] : balance) {
+    if (count != 0) {
+      std::fprintf(stderr, "conservation broken at value %llu (%d)\n",
+                   static_cast<unsigned long long>(value), count);
+    }
+    CHECK_EQ(count, 0);
+  }
+}
+
 /// TwoDBag under schedules: pure conservation (every pushed value comes
 /// out exactly once across scheduled pops + the post-run drain).
 void check_bag_conservation(const std::string& spec, std::uint64_t seed) {
@@ -285,19 +306,7 @@ void check_bag_conservation(const std::string& spec, std::uint64_t seed) {
       h.pop(tid, v, inv, h.stamp());
     }
   });
-  std::map<std::uint64_t, int> balance;
-  for (const Op& op : h.merged()) {
-    if (!op.ok) continue;
-    balance[op.value] += op.kind == OpKind::kPush ? 1 : -1;
-  }
-  while (auto v = bag.take()) balance[*v] -= 1;
-  for (const auto& [value, count] : balance) {
-    if (count != 0) {
-      std::fprintf(stderr, "bag conservation broken at value %llu (%d)\n",
-                   static_cast<unsigned long long>(value), count);
-    }
-    CHECK_EQ(count, 0);
-  }
+  check_conserved(h, [&bag] { return bag.take(); });
 }
 
 /// Same policy + seed ==> byte-identical history, twice over. This IS
@@ -327,6 +336,45 @@ void check_replay_determinism() {
     }
     CHECK(serialized[0] == serialized[1]);
   }
+}
+
+/// Both test hooks armed at once: a `site:` fault policy inside a seeded
+/// pct schedule shares the armed word with the scheduler. Two runs of the
+/// same (policy, seed) must inject the same faults into byte-identical
+/// histories, and every push that succeeded must be conserved.
+void check_fault_inside_schedule() {
+  auto& inj = r2d::fault::injector();
+  std::vector<std::string> serialized;
+  std::vector<std::uint64_t> injected;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    ReproducerOnFailure guard;
+    r2d::TwoDStack<std::uint64_t> stack(r2d::core::TwoDParams{4, 4, 2});
+    History h(3);
+    inj.configure("site:heap-alloc:5", 0x5eed);
+    run_schedule("pct:3", 0xfa17, 3, [&](unsigned tid) {
+      for (unsigned i = 0; i < 5; ++i) {
+        const std::uint64_t v = tid * 1000 + i + 1;
+        const auto inv = h.stamp();
+        const bool ok = stack.try_push(v) == r2d::core::OpStatus::kOk;
+        h.push(tid, v, ok, inv, h.stamp());
+      }
+      for (unsigned i = 0; i < 3; ++i) {
+        const auto inv = h.stamp();
+        const auto v = stack.pop();
+        h.pop(tid, v, inv, h.stamp());
+      }
+    });
+    injected.push_back(inj.injected());
+    inj.configure("off", 0);
+    serialized.push_back(h.serialize());
+    check_conserved(h, [&stack] { return stack.pop(); });
+  }
+  CHECK_EQ(injected[0], std::uint64_t{1});
+  CHECK_EQ(injected[1], injected[0]);
+  if (serialized[0] != serialized[1]) {
+    std::fprintf(stderr, "replay with a fault policy armed diverged\n");
+  }
+  CHECK(serialized[0] == serialized[1]);
 }
 
 /// A tiny step budget must terminate the run (free-run escape), and the
@@ -368,7 +416,7 @@ void run_sweep() {
               static_cast<unsigned long long>(g_sweep.schedules));
 }
 
-#endif  // R2D_SCHED
+#endif  // R2D_TESTHOOKS
 
 }  // namespace
 
@@ -376,12 +424,14 @@ int main() {
   check_linearizability_checker();
   check_quality_bridge();
   check_api_parity();
-#if R2D_SCHED
+#if R2D_TESTHOOKS
   check_replay_determinism();
+  check_fault_inside_schedule();
   run_sweep();
   check_budget_termination();
 #else
-  std::puts("sched compiled out (R2D_SCHED=0): checker + parity tests only");
+  std::puts("sched compiled out (R2D_TESTHOOKS=0): checker + parity tests "
+            "only");
 #endif
   return TEST_MAIN_RESULT();
 }

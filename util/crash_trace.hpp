@@ -22,7 +22,7 @@ namespace r2d::util {
 
 namespace detail {
 
-/// Installed by obs::Metrics<true>::get() (obs/metrics.hpp): dumps the
+/// Installed by obs::Metrics::get() (obs/metrics.hpp): dumps the
 /// metrics snapshot + shift-trace rings to `fd` on the way down. A raw
 /// function pointer so this header needs nothing from obs/ (which includes
 /// the reclaim headers and must stay above us in the include DAG).
