@@ -119,11 +119,12 @@ Point measure_with(Make&& make_stack, const harness::Workload& w,
   return point;
 }
 
-/// R2D_ALLOC=pool swaps every run_algorithm-built container onto the
-/// pool+magazine allocation policy (reclaim::PoolAlloc); the default heap
-/// policy is the other arm of the E10 / micro A/B comparison.
+/// Allocation policy of every run_algorithm-built container, baselines
+/// included: R2D_ALLOC=pool (default — what the 2D containers ship with,
+/// reclaim::PoolAlloc) or heap (new/delete, the other arm of the E10 A/B
+/// comparison).
 inline bool use_pool_alloc() {
-  static const bool pool = util::env_str("R2D_ALLOC", "heap") == "pool";
+  static const bool pool = util::env_str("R2D_ALLOC", "pool") != "heap";
   return pool;
 }
 

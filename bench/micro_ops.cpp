@@ -59,23 +59,27 @@ std::unique_ptr<r2d::stacks::KRobinStack<Label>> make_bench_stack(
     unsigned threads) {
   return std::make_unique<r2d::stacks::KRobinStack<Label>>(4 * threads);
 }
-template <>
-std::unique_ptr<r2d::TwoDStack<Label>> make_bench_stack(unsigned threads) {
-  r2d::core::TwoDParams p;
-  p.width = 4 * std::max(1u, threads);
-  p.depth = 8;
-  p.shift = 4;
-  return std::make_unique<r2d::TwoDStack<Label>>(p);
-}
 
-// Pool-policy A/B partners (reclaim/alloc.hpp): identical shapes on the
-// PoolAlloc substrate, so the single/contended deltas against the heap
-// rows price the allocation policy alone.
+// Allocation-policy A/B pairs (reclaim/alloc.hpp): identical shapes on the
+// heap and the PoolAlloc substrate, so the single/contended deltas between
+// the rows price the allocation policy alone. The stacks/ baselines default
+// to HeapAlloc and TwoDStack to PoolAlloc, so both 2D arms are spelled out.
+using TwoDHeapStack = r2d::TwoDStack<Label, r2d::reclaim::EpochReclaimer,
+                                     r2d::reclaim::HeapAlloc>;
 using TreiberPoolStack =
     r2d::stacks::TreiberStack<Label, r2d::reclaim::EpochReclaimer,
                               r2d::reclaim::PoolAlloc>;
 using TwoDPoolStack = r2d::TwoDStack<Label, r2d::reclaim::EpochReclaimer,
                                      r2d::reclaim::PoolAlloc>;
+
+template <>
+std::unique_ptr<TwoDHeapStack> make_bench_stack(unsigned threads) {
+  r2d::core::TwoDParams p;
+  p.width = 4 * std::max(1u, threads);
+  p.depth = 8;
+  p.shift = 4;
+  return std::make_unique<TwoDHeapStack>(p);
+}
 
 template <>
 std::unique_ptr<TreiberPoolStack> make_bench_stack(unsigned) {
@@ -139,7 +143,7 @@ using KSeg = r2d::stacks::KSegmentStack<Label>;
 using Rand = r2d::stacks::RandomStack<Label>;
 using RandC2 = r2d::stacks::RandomC2Stack<Label>;
 using KRobin = r2d::stacks::KRobinStack<Label>;
-using TwoD = r2d::TwoDStack<Label>;
+using TwoD = TwoDHeapStack;
 using TreiberPool = TreiberPoolStack;
 using TwoDPool = TwoDPoolStack;
 

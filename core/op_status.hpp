@@ -2,7 +2,7 @@
 //
 // Every container's `try_push` family reports resource failure as a
 // value instead of an exception: `kNoMemory` for allocation failure
-// (bad_alloc from HeapAlloc or an exhausted, non-growable pool) and
+// (bad_alloc from an exhausted, non-growable pool or from HeapAlloc) and
 // `kNoSlots` for reclaimer/allocator slot-lease exhaustion
 // (SlotsExhausted past R2D_MAX_SLOTS). Both map onto the same strong
 // guarantee the throwing form documents: the container is unchanged and

@@ -32,7 +32,8 @@
 // put/take are also aliased as push/pop so the bag satisfies the
 // harness::RelaxedStack concept and drops into every existing runner and
 // into harness/service/ unchanged. Reclamation and node storage follow
-// the library-wide policy pipeline (DESIGN.md §10).
+// the library-wide policy pipeline (DESIGN.md §10; epoch reclamation and
+// PoolAlloc storage by default).
 #pragma once
 
 #include <algorithm>
@@ -53,7 +54,7 @@
 namespace r2d {
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 class TwoDBag {
   using Node = core::StackNode<T>;
   using Column = core::StackColumn<T>;

@@ -31,7 +31,8 @@
 // the same packed flow word, so eligibility probes, certification scans,
 // empty() and approx_size() are one atomic load per column — no
 // dereference, no lock, no guard — and both route node lifetime through
-// the reclaimer/allocator pipeline (retire(node, alloc), DESIGN.md §10).
+// the reclaimer/allocator pipeline (retire(node, alloc), DESIGN.md §10;
+// epoch reclamation and PoolAlloc storage by default).
 #pragma once
 
 #include <algorithm>
@@ -55,7 +56,7 @@
 namespace r2d {
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc,
+          template <typename> class Alloc = reclaim::PoolAlloc,
           template <typename> class Column = core::DefaultDequeColumn>
 class TwoDDeque {
   using Col = Column<T>;

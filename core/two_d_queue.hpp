@@ -23,6 +23,10 @@
 // no reclaimer guard — exactly like the stacks' packed heads; only the
 // operation CASes themselves still walk nodes under the guard. See
 // DESIGN.md §8 for why a stale lower bound is sound.
+//
+// Reclamation (epoch by default) and node storage (PoolAlloc by default,
+// HeapAlloc on request) follow the library-wide policy pipeline
+// (DESIGN.md §10).
 #pragma once
 
 #include <algorithm>
@@ -43,7 +47,7 @@
 namespace r2d {
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 class TwoDQueue {
   struct Node {
     std::atomic<Node*> next{nullptr};

@@ -20,9 +20,10 @@
 //
 // Memory reclamation is a template policy (see reclaim/leaky.hpp for the
 // contract); the default is epoch-based. Node storage is a second policy
-// (reclaim/alloc.hpp): HeapAlloc by default, PoolAlloc for slab-recycled,
-// magazine-cached blocks — retired nodes flow back to the owning allocator
-// through the reclaimer (DESIGN.md §10).
+// (reclaim/alloc.hpp): PoolAlloc by default — slab-recycled,
+// magazine-cached blocks owned by this instance until it is destroyed —
+// or HeapAlloc for plain new/delete. Retired nodes flow back to the
+// owning allocator through the reclaimer (DESIGN.md §10).
 #pragma once
 
 #include <algorithm>
@@ -43,7 +44,7 @@
 namespace r2d {
 
 template <typename T, typename Reclaimer = reclaim::EpochReclaimer,
-          template <typename> class Alloc = reclaim::HeapAlloc>
+          template <typename> class Alloc = reclaim::PoolAlloc>
 class TwoDStack {
   using Node = core::StackNode<T>;
   using Column = core::StackColumn<T>;

@@ -13,15 +13,19 @@
 // reclaimer's destructor drains deferred retires into the allocator, so
 // the allocator must be destroyed after it.
 //
-//   HeapAlloc — new/delete; the default, and the zero-state baseline E10
-//               measures the pool against.
-//   PoolAlloc — reclaim::Pool slabs + a per-thread magazine layer: acquire
-//               and release are a pointer pop/push on a thread-owned LIFO
-//               in steady state (no shared atomics at all); magazines
-//               refill/flush by moving a whole batch to or from a sharded
-//               depot in one tagged CAS.
+//   PoolAlloc — the default of the 2D containers: reclaim::Pool slabs + a
+//               per-thread magazine layer. Acquire and release are a
+//               pointer pop/push on a thread-owned LIFO in steady state
+//               (no shared atomics at all); magazines refill/flush by
+//               moving a whole batch to or from a sharded depot in one
+//               tagged CAS, and a magazine that finds the depot dry is
+//               filled from the slab in one cursor CAS (Pool::alloc_run).
+//               Memory stays with the instance until it is destroyed.
+//   HeapAlloc — new/delete, no state: the default of the stacks/
+//               baselines and the baseline E10 measures the pool against.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -36,8 +40,8 @@
 
 namespace r2d::reclaim {
 
-/// The default policy: plain heap allocation, no state. Containers
-/// instantiate one per node type; [[no_unique_address]] makes it free.
+/// Plain heap allocation, no state. Containers instantiate one per node
+/// type; [[no_unique_address]] makes it free.
 template <typename T>
 struct HeapAlloc {
   template <typename... Args>
@@ -59,9 +63,17 @@ struct HeapAlloc {
 // so alternating acquire/release never oscillates against the shared
 // depot. Overflowing magazines are flushed whole — one tagged CAS splices
 // the entire batch onto a depot shard; refills pop a full batch the same
-// way. Blocks come from (and are finally freed by) the embedded
+// way. When the depot is dry too, the magazine is filled with a run
+// carved from the slab in one cursor CAS — a cold start (every thread
+// prefilling a fresh container) costs one shared CAS per magazine, not
+// per block. A slot's runs start at one block and double up to a
+// magazine, so a short-lived thread that exits with part of its last run
+// unused strands fewer blocks than it used (the partial magazine flushed
+// at exit goes to the pool's free lists, which only the OOM fallback
+// reads). Blocks come from (and are finally freed by) the embedded
 // reclaim::Pool's slabs, so nothing is lost when a thread dies with a
-// populated magazine.
+// populated magazine. Under AddressSanitizer a released block's T
+// footprint is poisoned until it is acquired again (see reclaim/pool.hpp).
 //
 // Magazine size: R2D_MAGAZINE (default 32 blocks ≈ 2 KiB of cache-line
 // blocks), read once per instance.
@@ -76,6 +88,7 @@ class PoolAlloc : private detail::Lessor {
     void* mag = nullptr;      ///< working magazine: LIFO chain of blocks
     unsigned count = 0;       ///< blocks in `mag`
     void* spare = nullptr;    ///< full magazine of exactly mag_size_ blocks
+    unsigned run = 1;         ///< next slab run: doubles up to mag_size_
   };
 
   struct alignas(64) DepotShard {
@@ -85,7 +98,13 @@ class PoolAlloc : private detail::Lessor {
   };
 
  public:
-  PoolAlloc() { detail::ChurnRegistry::get().add_lessor(id_, this); }
+  PoolAlloc() {
+    // release_thread counts into obs while the exit walk holds the
+    // registry mutex; the metrics singleton registers under that mutex,
+    // so it must exist before any walk can reach this instance.
+    obs::metrics();
+    detail::ChurnRegistry::get().add_lessor(id_, this);
+  }
   PoolAlloc(const PoolAlloc&) = delete;
   PoolAlloc& operator=(const PoolAlloc&) = delete;
 
@@ -103,11 +122,13 @@ class PoolAlloc : private detail::Lessor {
   template <typename... Args>
   T* acquire(Args&&... args) {
     void* block = take_block(local_slot());
+    Pool<T>::unpoison(block);
     return ::new (block) T{std::forward<Args>(args)...};
   }
 
   void release(T* obj) {
     obj->~T();
+    Pool<T>::poison(obj);
     put_block(local_slot(), obj);
   }
 
@@ -147,6 +168,7 @@ class PoolAlloc : private detail::Lessor {
     }
     s.mag = nullptr;
     s.count = 0;
+    s.run = 1;
   }
 
   void* take_block(Slot* s) {
@@ -171,15 +193,18 @@ class PoolAlloc : private detail::Lessor {
     }
     // Forced depot miss: both magazines are empty here, so skipping the
     // scan safely lands on the slab path.
-    if (R2D_HOOK_POINT(kDepotPop)) [[unlikely]] {
-      return pool_.alloc_block();
-    }
-    if ((block = depot_pop(s)) != nullptr) {
+    if (!R2D_HOOK_POINT(kDepotPop) && (block = depot_pop(s)) != nullptr) {
       s->mag = Pool<T>::chain_next(block).load(std::memory_order_relaxed);
       s->count = mag_size_ - 1;
       return block;
     }
-    return pool_.alloc_block();
+    // Depot dry: refill the working magazine with a run carved from the
+    // slab in one cursor CAS.
+    const typename Pool<T>::Run run = pool_.alloc_run(s->run);
+    s->run = std::min(2 * s->run, mag_size_);
+    s->mag = Pool<T>::chain_next(run.head).load(std::memory_order_relaxed);
+    s->count = static_cast<unsigned>(run.count - 1);
+    return run.head;
   }
 
   void put_block(Slot* s, void* block) {

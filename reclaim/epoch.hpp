@@ -79,6 +79,10 @@ class EpochReclaimer : private detail::Lessor {
   static constexpr unsigned kMaxProtected = 4;
 
   EpochReclaimer() {
+    // release_thread counts into obs while the exit walk holds the
+    // registry mutex; the metrics singleton registers under that mutex,
+    // so it must exist before any walk can reach this instance.
+    obs::metrics();
     detail::ChurnRegistry::get().add_lessor(id_, this);
   }
   EpochReclaimer(const EpochReclaimer&) = delete;

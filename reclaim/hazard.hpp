@@ -43,6 +43,10 @@ class HazardReclaimer : private detail::Lessor {
   static constexpr unsigned kMaxProtected = 4;
 
   HazardReclaimer() {
+    // release_thread counts into obs while the exit walk holds the
+    // registry mutex; the metrics singleton registers under that mutex,
+    // so it must exist before any walk can reach this instance.
+    obs::metrics();
     detail::ChurnRegistry::get().add_lessor(id_, this);
   }
   HazardReclaimer(const HazardReclaimer&) = delete;

@@ -9,12 +9,18 @@
 //
 // Storage is slabs, not per-block heap allocations: blocks are padded and
 // aligned to cache lines (a freshly recycled node never false-shares with
-// its neighbor), carving a block is one CAS on a packed {slab, index}
-// cursor, and the destructor frees the slabs wholesale — so blocks parked
-// in a dead thread's magazine or a depot are reclaimed no matter where
-// they sit. The contract that buys: every T must be *destroyed* before the
-// pool dies (release — or at least ~T — must have run), and no block may
-// be touched afterwards.
+// its neighbor), carving a *run* of up to a magazine's worth of blocks is
+// one CAS on a packed {slab, index} cursor, and the destructor frees the
+// slabs wholesale — so blocks parked in a dead thread's magazine or a
+// depot are reclaimed no matter where they sit. The contract that buys:
+// every T must be *destroyed* before the pool dies (release — or at least
+// ~T — must have run), and no block may be touched afterwards. Memory
+// stays with the instance until then; nothing is shared across pools.
+//
+// Under AddressSanitizer a block's T footprint is poisoned while the block
+// is free (release, free_block) and unpoisoned on acquire, so a
+// use-after-free of a pooled node is reported just as it is for a heap
+// node. The tail chain words are never poisoned.
 //
 // ABA on the free lists is defended with a 16-bit tag packed into the top
 // bits of the head word (x86-64 user pointers fit in 48 bits); shards cut
@@ -31,6 +37,7 @@
 // splice protocol is exactly as written even under TSan.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <new>
@@ -39,6 +46,17 @@
 #include "core/substack.hpp"  // InstanceLocal
 #include "sched/hook.hpp"
 #include "reclaim/slot_registry.hpp"  // next_instance_id
+
+#if defined(__SANITIZE_ADDRESS__)
+#define R2D_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define R2D_POOL_ASAN 1
+#endif
+#endif
+#ifdef R2D_POOL_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace r2d::reclaim {
 
@@ -82,6 +100,9 @@ class Pool {
     Slab* slab = slabs_.load(std::memory_order_acquire);
     while (slab != nullptr) {
       Slab* next = slab->next;
+#ifdef R2D_POOL_ASAN
+      ASAN_UNPOISON_MEMORY_REGION(slab, kBlockStride * (kSlabBlocks + 1));
+#endif
       ::operator delete(slab, std::align_val_t{kBlockAlign});
       slab = next;
     }
@@ -91,11 +112,13 @@ class Pool {
   T* acquire(Args&&... args) {
     void* block = pop_block(local_shard());
     if (block == nullptr) block = alloc_block();
+    unpoison(block);
     return ::new (block) T{std::forward<Args>(args)...};
   }
 
   void release(T* obj) {
     obj->~T();
+    poison(obj);
     push_block(local_shard(), obj);
   }
 
@@ -121,34 +144,71 @@ class Pool {
   /// path for partially-filled magazines (a depot holds only *full*
   /// magazines, so a dying thread's working magazine drains here block by
   /// block).
-  void free_block(void* block) { push_block(local_shard(), block); }
+  void free_block(void* block) {
+    poison(block);
+    push_block(local_shard(), block);
+  }
 
-  /// Carve a fresh, never-used block. One CAS on the packed {slab, index}
-  /// cursor in steady state; losers of a slab-growth race free their
+  /// AddressSanitizer bookkeeping for the layered allocators: a free
+  /// block's T footprint is poisoned, an acquired one's is not. No-ops
+  /// outside ASan builds.
+  static void poison([[maybe_unused]] void* block) {
+#ifdef R2D_POOL_ASAN
+    ASAN_POISON_MEMORY_REGION(block, kBlockStride - 2 * sizeof(void*));
+#endif
+  }
+  static void unpoison([[maybe_unused]] void* block) {
+#ifdef R2D_POOL_ASAN
+    ASAN_UNPOISON_MEMORY_REGION(block, kBlockStride - 2 * sizeof(void*));
+#endif
+  }
+
+  /// A chain of blocks linked through chain_next, null-terminated.
+  struct Run {
+    void* head;
+    std::size_t count;
+  };
+
+  /// Carve a run of up to `want` (≥ 1) fresh, never-used blocks — as many
+  /// as the current slab has left — with one CAS on the packed
+  /// {slab, index} cursor, linked through chain_next. An empty slab is
+  /// replaced by grow(); losers of a slab-growth race free their
   /// candidate and retry on the winner's slab.
   ///
   /// OOM contract (DESIGN.md §15): when a slab cannot be allocated, the
-  /// pool falls back to *recycled* blocks from every shard's free list
+  /// pool falls back to one *recycled* block from any shard's free list
   /// before propagating bad_alloc — under memory pressure the pool keeps
   /// serving as long as anything has been released anywhere. The cursor
   /// is never left mid-advance: grow() only ever installs a fully
   /// constructed slab with one CAS, and a failed growth touches no
   /// shared state at all.
-  void* alloc_block() {
+  Run alloc_run(std::size_t want) {
     std::uint64_t cur = bump_.load(std::memory_order_acquire);
     while (true) {
       Slab* slab = reinterpret_cast<Slab*>(cur & kPtrMask);
       const std::uint64_t index = cur >> 48;
       if (slab != nullptr && index < kSlabBlocks) {
+        const std::uint64_t n = std::min<std::uint64_t>(
+            std::max<std::size_t>(want, 1), kSlabBlocks - index);
         if (bump_.compare_exchange_weak(
-                cur, (cur & kPtrMask) | ((index + 1) << 48),
+                cur, (cur & kPtrMask) | ((index + n) << 48),
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
-          return block_at(slab, index);
+          // The run is ours alone now: link it for the caller. The last
+          // block's chain word is still null from grow().
+          for (std::uint64_t i = index; i + 1 < index + n; ++i) {
+            chain_next(block_at(slab, i))
+                .store(block_at(slab, i + 1), std::memory_order_relaxed);
+          }
+          return Run{block_at(slab, index), static_cast<std::size_t>(n)};
         }
         continue;
       }
       if (!grow(cur)) {
-        if (void* block = scavenge()) return block;
+        if (void* block = scavenge()) {
+          // Recycled: its chain word still links its free-list successor.
+          chain_next(block).store(nullptr, std::memory_order_relaxed);
+          return Run{block, 1};
+        }
         // A racing thread may have installed a slab while we scavenged;
         // only give up once the cursor is provably unchanged.
         const std::uint64_t latest = bump_.load(std::memory_order_acquire);
@@ -161,7 +221,11 @@ class Pool {
     }
   }
 
+  /// Carve (or, under OOM, scavenge) a single block.
+  void* alloc_block() { return alloc_run(1).head; }
+
  private:
+
   static void* block_at(Slab* slab, std::uint64_t index) {
     return reinterpret_cast<char*>(slab) + kBlockStride * (index + 1);
   }

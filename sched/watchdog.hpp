@@ -8,7 +8,13 @@
 // (`R2D_WATCHDOG_MS`). If a whole armed interval passes with no
 // progress while work is outstanding, it captures a diagnostic report —
 // the obs counter summary plus the newest shift-trace ring entries —
-// and lets policy decide what happens next:
+// and lets policy decide what happens next. A window in which the
+// monitor itself woke more than half a deadline late is not judged: the
+// monitor was descheduled (hypervisor steal, an overloaded host), so the
+// window measured the host rather than the container. Every report
+// carries the window's wake-up overshoot and the host steal share seen
+// during it, so a verdict on a noisy host can be told apart from a real
+// livelock:
 //
 //   * `check()` throws `StallDetected` carrying the report (tests,
 //     batch tools — fail loudly with the forensics attached);
@@ -28,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <sstream>
@@ -49,16 +56,58 @@ class StallDetected : public std::runtime_error {
       : std::runtime_error(report) {}
 };
 
-/// Build the stall forensics: the obs counter summary plus the newest
-/// shift-trace ring entries (the freshest evidence of what the window
-/// engine was doing when progress stopped). Public so tests can assert
-/// on its shape directly.
+/// Host-wide CPU time from the aggregate line of /proc/stat, in ticks:
+/// the hypervisor's steal and the total. Zeros where it is unreadable.
+struct HostTicks {
+  std::uint64_t steal = 0;
+  std::uint64_t total = 0;
+
+  static HostTicks read() {
+    HostTicks t;
+    std::ifstream stat("/proc/stat");
+    std::string label;
+    // user nice system idle iowait irq softirq steal
+    std::uint64_t field[8] = {};
+    if (!(stat >> label) || label != "cpu") return t;
+    for (std::uint64_t& f : field) {
+      if (!(stat >> f)) return HostTicks{};
+      t.total += f;
+    }
+    t.steal = field[7];
+    return t;
+  }
+
+  /// Share of host CPU time stolen between two reads; 0 when no tick
+  /// elapsed (the counters advance every 10 ms per CPU).
+  static double steal_share(const HostTicks& from, const HostTicks& to) {
+    return to.total > from.total
+               ? static_cast<double>(to.steal - from.steal) /
+                     static_cast<double>(to.total - from.total)
+               : 0.0;
+  }
+};
+
+/// How the monitor's sampling window itself went: how late it woke past
+/// the deadline, and the host steal share during the window.
+struct WindowStats {
+  std::chrono::microseconds overshoot{0};
+  double steal_share = 0.0;
+};
+
+/// Build the stall forensics: the window's overshoot and steal, the obs
+/// counter summary, and the newest shift-trace ring entries (the
+/// freshest evidence of what the window engine was doing when progress
+/// stopped). Public so tests can assert on its shape directly.
 inline std::string stall_report(std::uint64_t stuck_at,
                                 std::chrono::milliseconds deadline,
+                                const WindowStats& window = {},
                                 std::size_t newest = 8) {
   std::ostringstream out;
   out << "=== r2d watchdog: no progress (counter stuck at " << stuck_at
-      << ") for " << deadline.count() << "ms ===\n";
+      << ") for " << deadline.count() << "ms ===\n"
+      << "window: woke " << window.overshoot.count()
+      << "us past the deadline, host steal " << window.steal_share * 100.0
+      << "%\n";
   obs::write_text(out, obs::metrics().snapshot());
   std::vector<std::string> entries;
   std::size_t index = 0;
@@ -132,15 +181,26 @@ class Watchdog {
 
  private:
   void loop() {
+    using Clock = std::chrono::steady_clock;
     std::unique_lock<std::mutex> lk(mu_);
     std::uint64_t last = progress_();
     while (!stop_) {
+      const Clock::time_point start = Clock::now();
+      const HostTicks host_start = HostTicks::read();
       cv_.wait_for(lk, config_.deadline, [this] { return stop_; });
       if (stop_) return;
       const std::uint64_t now = progress_();
       const bool idle = config_.idle && config_.idle();
-      if (now == last && !idle) {
-        const std::string report = stall_report(now, config_.deadline);
+      const WindowStats window{
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              Clock::now() - start - config_.deadline),
+          HostTicks::steal_share(host_start, HostTicks::read())};
+      // A monitor that woke more than half a deadline late was itself
+      // descheduled; the window says nothing about the container.
+      const bool late = window.overshoot > config_.deadline / 2;
+      if (now == last && !idle && !late) {
+        const std::string report =
+            stall_report(now, config_.deadline, window);
         last_report_ = report;
         stalled_.store(true, std::memory_order_release);
         stall_count_.fetch_add(1, std::memory_order_relaxed);

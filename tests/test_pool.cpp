@@ -6,10 +6,14 @@
 // (acquire on T1, release + reuse on T2), an ABA tag hammer that shuttles
 // blocks between threads through an exchange slot (the TSan configuration
 // of this test is what would catch a torn free-list splice), coexisting
-// pools of one node type (the instance-keyed shard fix), and end-to-end
-// no-loss/no-dup runs of the stack, queue, and deque on PoolAlloc —
-// including the destruction-order contract: the allocator member outlives
-// the reclaimer whose destructor drains deferred retires into it.
+// pools of one node type (the instance-keyed shard fix), run carving (runs
+// that ramp up to a magazine, each one cursor advance; concurrent carvers
+// never share a block; an injected slab-growth failure at a run boundary
+// keeps the strong guarantee), ASan poisoning of free blocks, the 2D
+// containers' PoolAlloc default, and end-to-end no-loss/no-dup runs of the
+// stack, queue, and deque on PoolAlloc — including the destruction-order
+// contract: the allocator member outlives the reclaimer whose destructor
+// drains deferred retires into it.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -20,9 +24,11 @@
 #include <vector>
 
 #include "core/params.hpp"
+#include "core/two_d_bag.hpp"
 #include "core/two_d_deque.hpp"
 #include "core/two_d_queue.hpp"
 #include "core/two_d_stack.hpp"
+#include "fault/inject.hpp"
 #include "reclaim/alloc.hpp"
 #include "reclaim/hazard.hpp"
 #include "reclaim/pool.hpp"
@@ -32,6 +38,20 @@
 #include "check.hpp"
 
 namespace {
+
+using r2d::reclaim::Pool;
+using r2d::reclaim::PoolAlloc;
+
+template <typename A>
+constexpr bool kIsPoolAlloc = false;
+template <typename N>
+constexpr bool kIsPoolAlloc<PoolAlloc<N>> = true;
+
+// The 2D containers ship on the pool (DESIGN.md §10).
+static_assert(kIsPoolAlloc<r2d::TwoDStack<std::uint64_t>::allocator_type>);
+static_assert(kIsPoolAlloc<r2d::TwoDQueue<std::uint64_t>::allocator_type>);
+static_assert(kIsPoolAlloc<r2d::TwoDDeque<std::uint64_t>::allocator_type>);
+static_assert(kIsPoolAlloc<r2d::TwoDBag<std::uint64_t>::allocator_type>);
 
 struct Tracked {
   static std::atomic<int> live;
@@ -106,9 +126,177 @@ void hammer(const char* name, unsigned threads, std::uint64_t per_thread,
   }
 }
 
+std::ptrdiff_t blocks_between(const void* from, const void* to) {
+  return (static_cast<const char*>(to) - static_cast<const char*>(from)) /
+         static_cast<std::ptrdiff_t>(Pool<Tracked>::kBlockStride);
+}
+
+/// A slot's slab runs double from one block up to a whole magazine, each
+/// claimed with a single cursor advance: once the ramp reaches the
+/// magazine size, the next thread to carve starts a magazine further on.
+/// A thread that acquires once and exits carves one block, so it strands
+/// nothing. Runs first in main: the helper thread's exit walk is then the
+/// process's first obs count, which used to self-deadlock on the registry
+/// mutex.
+void check_cold_start_run() {
+  setenv("R2D_MAGAZINE", "4", 1);
+  PoolAlloc<Tracked> alloc;
+  std::vector<Tracked*> held;
+  const auto at = [&](std::size_t i) { return blocks_between(held[0], held[i]); };
+  for (std::uint64_t i = 0; i < 4; ++i) held.push_back(alloc.acquire(i));
+  // Runs of 1, 2 and then 4 (the magazine): blocks 0, 1-2, 3-6.
+  for (std::size_t i = 0; i < 4; ++i) {
+    CHECK_EQ(at(i), static_cast<std::ptrdiff_t>(i));
+  }
+  Tracked* other = nullptr;
+  std::thread([&] { other = alloc.acquire(std::uint64_t{9}); }).join();
+  CHECK_EQ(blocks_between(held[0], other), std::ptrdiff_t{7});
+  for (std::uint64_t i = 4; i < 8; ++i) held.push_back(alloc.acquire(i));
+  CHECK_EQ(at(6), std::ptrdiff_t{6});
+  CHECK_EQ(at(7), std::ptrdiff_t{8});  // next magazine-sized run
+  alloc.release(other);
+  for (Tracked* p : held) alloc.release(p);
+  CHECK_EQ(Tracked::live.load(), 0);
+  unsetenv("R2D_MAGAZINE");
+}
+
+/// Four threads carve runs of assorted sizes from one cold pool at once:
+/// every run is as long as its chain, and no block is handed out twice.
+void check_concurrent_runs() {
+  Pool<Tracked> pool;
+  constexpr unsigned kThreads = 4;
+  std::vector<std::vector<void*>> got(kThreads);
+  std::atomic<unsigned> ready{0};
+  std::vector<std::thread> carvers;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    carvers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (std::size_t i = 0; i < 300; ++i) {
+        const auto run = pool.alloc_run(1 + (i * 7 + t) % 40);
+        std::size_t chain = 0;
+        for (void* b = run.head; b != nullptr;
+             b = Pool<Tracked>::chain_next(b).load(std::memory_order_relaxed)) {
+          got[t].push_back(b);
+          ++chain;
+        }
+        CHECK(run.count >= 1);
+        CHECK_EQ(chain, run.count);
+      }
+    });
+  }
+  for (auto& c : carvers) c.join();
+  std::set<void*> all;
+  std::size_t total = 0;
+  for (const auto& g : got) {
+    all.insert(g.begin(), g.end());
+    total += g.size();
+  }
+  CHECK_EQ(all.size(), total);
+}
+
+/// A slab-growth failure injected exactly where a run would start a new
+/// slab: the acquire throws bad_alloc and changes nothing (held blocks
+/// intact, the container as it was), and both serve again once injection
+/// is off. Test-hook build only.
+void check_run_boundary_fault() {
+  if constexpr (!r2d::fault::kCompiled) return;
+  constexpr std::uint64_t kSlab = 64;  // Pool's blocks per slab
+  auto& inj = r2d::fault::injector();
+  setenv("R2D_MAGAZINE", "4", 1);
+  {
+    PoolAlloc<Tracked> alloc;
+    inj.configure("site:slab-grow:2", 1);  // the first slab grows, the next fails
+    std::vector<Tracked*> held;
+    for (std::uint64_t i = 0; i < kSlab; ++i) held.push_back(alloc.acquire(i));
+    bool threw = false;
+    try {
+      held.push_back(alloc.acquire(kSlab));
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    CHECK(threw);
+    CHECK_EQ(inj.injected(r2d::fault::Site::kSlabGrow), std::uint64_t{1});
+    inj.configure("off", 0);
+    CHECK_EQ(held.size(), kSlab);
+    CHECK_EQ(Tracked::live.load(), static_cast<int>(kSlab));
+    for (std::uint64_t i = 0; i < kSlab; ++i) CHECK_EQ(held[i]->payload, i);
+    Tracked* after = alloc.acquire(kSlab);
+    CHECK(std::find(held.begin(), held.end(), after) == held.end());
+    held.push_back(after);
+    for (Tracked* p : held) alloc.release(p);
+    CHECK_EQ(Tracked::live.load(), 0);
+  }
+  {
+    r2d::TwoDStack<std::uint64_t> stack(r2d::core::TwoDParams::for_k(64, 4));
+    inj.configure("site:slab-grow:2", 1);
+    for (std::uint64_t v = 0; v < kSlab; ++v) stack.push(v);
+    bool threw = false;
+    try {
+      stack.push(kSlab);
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    CHECK(threw);
+    inj.configure("off", 0);
+    stack.push(kSlab + 1);
+    std::multiset<std::uint64_t> drained;
+    while (const auto v = stack.pop()) drained.insert(*v);
+    std::multiset<std::uint64_t> expect;
+    for (std::uint64_t v = 0; v < kSlab; ++v) expect.insert(v);
+    expect.insert(kSlab + 1);
+    CHECK(drained == expect);
+  }
+  unsetenv("R2D_MAGAZINE");
+}
+
+/// Under AddressSanitizer a free block's T footprint is poisoned on every
+/// release path and unpoisoned on acquire; the tail chain words never are.
+void check_asan_poisoning() {
+#ifdef R2D_POOL_ASAN
+  {
+    PoolAlloc<Tracked> alloc;
+    Tracked* p = alloc.acquire(std::uint64_t{7});
+    CHECK(!__asan_address_is_poisoned(p));
+    alloc.release(p);
+    CHECK(__asan_address_is_poisoned(p));
+    CHECK(__asan_address_is_poisoned(&p->payload));
+    CHECK(!__asan_address_is_poisoned(&Pool<Tracked>::chain_next(p)));
+    CHECK(!__asan_address_is_poisoned(&Pool<Tracked>::chain_next2(p)));
+    Tracked* q = alloc.acquire(std::uint64_t{8});
+    CHECK(q == p);  // LIFO magazine hands the same block back
+    CHECK(!__asan_address_is_poisoned(q));
+    alloc.release(q);
+  }
+  {
+    Pool<Tracked> pool;
+    Tracked* p = pool.acquire(std::uint64_t{1});
+    pool.release(p);
+    CHECK(__asan_address_is_poisoned(p));
+    CHECK(pool.acquire(std::uint64_t{2}) == p);
+    CHECK(!__asan_address_is_poisoned(p));
+    pool.release(p);
+  }
+  {
+    Pool<Tracked> pool;
+    void* block = pool.alloc_block();
+    CHECK(!__asan_address_is_poisoned(block));
+    pool.free_block(block);
+    CHECK(__asan_address_is_poisoned(block));
+  }
+  std::puts("asan poisoning: checked");
+#endif
+}
+
 }  // namespace
 
 int main() {
+  check_cold_start_run();
+  check_concurrent_runs();
+  check_run_boundary_fault();
+  check_asan_poisoning();
+
   {
     // R2D_MAGAZINE is read per instance; a tiny magazine makes every few
     // operations cross a park/flush/refill boundary.

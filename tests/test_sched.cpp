@@ -348,7 +348,10 @@ void check_fault_inside_schedule() {
   std::vector<std::uint64_t> injected;
   for (int attempt = 0; attempt < 2; ++attempt) {
     ReproducerOnFailure guard;
-    r2d::TwoDStack<std::uint64_t> stack(r2d::core::TwoDParams{4, 4, 2});
+    // HeapAlloc arm: every push evaluates the heap-alloc site.
+    r2d::TwoDStack<std::uint64_t, r2d::reclaim::EpochReclaimer,
+                   r2d::reclaim::HeapAlloc>
+        stack(r2d::core::TwoDParams{4, 4, 2});
     History h(3);
     inj.configure("site:heap-alloc:5", 0x5eed);
     run_schedule("pct:3", 0xfa17, 3, [&](unsigned tid) {

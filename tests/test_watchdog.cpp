@@ -90,6 +90,7 @@ void check_stall_detection_and_report() {
     const std::string what = e.what();
     CHECK(what.find("r2d watchdog") != std::string::npos);
     CHECK(what.find("stuck at 7") != std::string::npos);
+    CHECK(what.find("past the deadline, host steal") != std::string::npos);
     if (r2d::obs::kCompiled) {
       CHECK(what.find("obs: ops=") != std::string::npos);
     } else {
