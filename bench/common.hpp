@@ -43,7 +43,6 @@ struct Point {
   double mops_stddev = 0.0;
   double mean_error = 0.0;
   double max_error = 0.0;
-  std::uint64_t empty_pops = 0;
 };
 
 /// How an algorithm is shaped for a given (k, threads) configuration.
@@ -52,21 +51,10 @@ struct AlgoConfig {
   std::string name;          ///< paper name: 2D-stack, k-segment, ...
   std::uint64_t k = 0;       ///< requested relaxation bound (0 = strict)
   unsigned threads = 1;
-  core::HopMode hop_mode = core::HopMode::kHybrid;
-  std::uint64_t shift_override = 0;  ///< nonzero: force this shift (E6)
-  std::size_t width_override = 0;    ///< nonzero: force this width (E4)
-  std::uint64_t depth_override = 0;  ///< nonzero: force this depth (E4)
 };
 
 inline core::TwoDParams two_d_params_for(const AlgoConfig& cfg) {
   core::TwoDParams p = core::TwoDParams::for_k(cfg.k, cfg.threads);
-  if (cfg.width_override != 0) p.width = cfg.width_override;
-  if (cfg.depth_override != 0) {
-    p.depth = cfg.depth_override;
-    p.shift = std::max<std::uint64_t>(1, p.depth / 2);
-  }
-  if (cfg.shift_override != 0) p.shift = std::min(cfg.shift_override, p.depth);
-  p.hop_mode = cfg.hop_mode;
   p.validate();
   return p;
 }
@@ -101,7 +89,6 @@ Point measure_with(Make&& make_stack, const harness::Workload& w,
     auto stack = make_stack();
     const auto r = harness::run_throughput(*stack, w);
     mops.push_back(r.mops);
-    point.empty_pops += r.empty_pops;
   }
   const auto s = util::summarize(std::move(mops));
   point.mops = s.mean;

@@ -13,8 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "gbench_common.hpp"
+#include "common.hpp"
 #include "core/two_d_stack.hpp"
+#include "obs/metrics.hpp"
 #include "stacks/distributed_stack.hpp"
 #include "stacks/elimination_stack.hpp"
 #include "stacks/ksegment_stack.hpp"
@@ -23,6 +24,36 @@
 namespace {
 
 using Label = std::uint64_t;
+
+/// Console output as usual, plus a capture of every per-iteration run's
+/// items/s for the BENCH_*.json trajectory (see emit_json / scripts/ci.sh).
+/// Each report batch also carries the obs counter delta accumulated since
+/// the previous batch, so every JSON point lands with the engine metrics
+/// of (approximately) its own run — the process-wide counters cannot be
+/// split finer than a reporting batch.
+class CapturingReporter : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    const r2d::obs::Snapshot now = r2d::obs::metrics().snapshot();
+    const std::string metrics = r2d::bench::metrics_json(now - last_);
+    last_ = now;
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      const auto it = run.counters.find("items_per_second");
+      if (it == run.counters.end()) continue;
+      points_.push_back({run.benchmark_name(),
+                         static_cast<unsigned>(run.threads),
+                         it->second / 1e6, metrics});
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  const std::vector<r2d::bench::JsonPoint>& points() const { return points_; }
+
+ private:
+  std::vector<r2d::bench::JsonPoint> points_;
+  r2d::obs::Snapshot last_;
+};
 
 template <typename S>
 std::unique_ptr<S> make_bench_stack(unsigned threads);
@@ -158,5 +189,11 @@ R2D_MICRO(TreiberPool)
 R2D_MICRO(TwoDPool)
 
 int main(int argc, char** argv) {
-  return r2d::bench::benchmark_main_with_json("micro_ops", argc, argv);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  CapturingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  r2d::bench::emit_json("micro_ops", reporter.points());
+  return 0;
 }

@@ -25,28 +25,10 @@ namespace r2d::core {
 /// ceiling (see core/substack.hpp).
 inline constexpr std::uint64_t kMaxWindowDepth = kPackedCountMax - 1;
 
-/// How a thread moves between sub-stacks after an ineligible probe or a
-/// failed CAS inside the current window.
-enum class HopMode : std::uint8_t {
-  kHybrid,         ///< paper: random hops first, then a round-robin sweep
-  kRandomOnly,     ///< random hops only; sweep certification is a re-scan
-  kRoundRobinOnly  ///< consecutive sub-stacks only
-};
-
-inline const char* to_string(HopMode m) {
-  switch (m) {
-    case HopMode::kHybrid: return "hybrid";
-    case HopMode::kRandomOnly: return "random-only";
-    case HopMode::kRoundRobinOnly: return "round-robin-only";
-  }
-  return "?";
-}
-
 struct TwoDParams {
   std::size_t width = 1;     ///< number of sub-stacks (columns)
   std::uint64_t depth = 1;   ///< window height (rows)
   std::uint64_t shift = 1;   ///< window jump on a failed sweep, 1..depth
-  HopMode hop_mode = HopMode::kHybrid;
 
   /// The width ceiling the paper found throughput-optimal: 4 sub-stacks
   /// per thread.

@@ -149,9 +149,10 @@ class InstanceLocal {
 /// Thread-local PRNG for hop decisions (xorshift64*; cheap, no libc state).
 inline std::uint64_t hop_rand() {
   // Address entropy (ASLR) decorrelates threads for free in production;
-  // under a seeded DST run the scheduler substitutes a deterministic
-  // per-ordinal seed so hop sequences replay (sched/dst.hpp). The init
-  // runs at each fresh thread's first call, i.e. while attached.
+  // the test-hook build substitutes a deterministic per-ordinal seed (the
+  // DST schedule's inside a seeded run, R2D_FAULT_SEED's outside one) so
+  // hop sequences replay (sched/dst.hpp). The init runs at each fresh
+  // thread's first call, i.e. while attached.
   thread_local std::uint64_t state = sched::hop_seed(
       0x9e3779b97f4a7c15ull ^
       reinterpret_cast<std::uint64_t>(&state));

@@ -178,17 +178,9 @@ class TwoDBag {
 
   /// Highest per-thread slot index leased across the reclaimer and the
   /// allocator — the churn harness's bounded-lease gauge (DESIGN.md §13).
-  /// Zero for slotless policies (Leaky/Heap).
+  /// HeapAlloc leases no slots and reports zero.
   std::size_t slot_hwm() const {
-    std::size_t hwm = 0;
-    if constexpr (requires { reclaimer_.slot_hwm(); }) {
-      hwm = reclaimer_.slot_hwm();
-    }
-    if constexpr (requires { alloc_.slot_hwm(); }) {
-      const std::size_t a = alloc_.slot_hwm();
-      if (a > hwm) hwm = a;
-    }
-    return hwm;
+    return std::max(reclaimer_.slot_hwm(), alloc_.slot_hwm());
   }
 
  private:
@@ -238,11 +230,6 @@ class TwoDBag {
           }
           return core::Probe::kContended;
         },
-        /*eligible=*/
-        [&](std::size_t i, std::uint64_t m) {
-          return core::head_count(
-                     columns_[i].head.load(std::memory_order_acquire)) < m;
-        },
         /*certified=*/
         [&](std::uint64_t m) {
           return core::Certified::shift_to(m + params_.shift);
@@ -268,12 +255,6 @@ class TwoDBag {
             return core::Probe::kSuccess;
           }
           return core::Probe::kContended;
-        },
-        /*eligible=*/
-        [&](std::size_t i, std::uint64_t m) {
-          return core::head_count(
-                     columns_[i].head.load(std::memory_order_acquire)) >
-                 m - params_.depth;
         },
         /*certified=*/
         [&](std::uint64_t m) { return certify_take(m); },

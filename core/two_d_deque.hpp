@@ -182,11 +182,6 @@ class TwoDDeque {
             if (p == core::Probe::kSuccess) preferred_index() = i;
             return p;
           },
-          /*eligible=*/
-          [&](std::size_t i, std::uint64_t m) {
-            return core::end_flow<kFront>(columns_[i].flows.load(
-                       std::memory_order_acquire)) < m;
-          },
           /*certified=*/
           [&](std::uint64_t m) {
             return core::Certified::shift_to(m + params_.shift);
@@ -232,13 +227,6 @@ class TwoDDeque {
               out, m, params_.depth, reclaimer_, alloc_);
           if (p == core::Probe::kSuccess) preferred_index() = i;
           return p;
-        },
-        /*eligible=*/
-        [&](std::size_t i, std::uint64_t m) {
-          const std::uint64_t word =
-              columns_[i].flows.load(std::memory_order_acquire);
-          return core::flow_occupancy(word) > 0 &&
-                 core::end_flow<kFront>(word) > m - params_.depth;
         },
         /*certified=*/
         [&](std::uint64_t m) { return certify_pop<kFront>(m); },

@@ -139,13 +139,6 @@ class TwoDQueue {
           [&](std::size_t i, std::uint64_t m) {
             return try_enqueue_at(guard, node, i, m);
           },
-          /*eligible=*/
-          [&](std::size_t i, std::uint64_t m) {
-            // Dereference-free: may say "eligible" on a stale lower bound
-            // (the attempt re-verifies exactly and refreshes the word), but
-            // a word >= m proves ineligibility.
-            return columns_[i].enq_serial.load(std::memory_order_acquire) < m;
-          },
           /*certified=*/
           [&](std::uint64_t m) { return certify_enqueue(m); },
           obs::ShiftCause::kQueuePut);
@@ -184,12 +177,6 @@ class TwoDQueue {
         [&](std::size_t i, std::uint64_t m) {
           return try_dequeue_at(guard, out, i, m);
         },
-        /*eligible=*/
-        [&](std::size_t i, std::uint64_t m) {
-          Node* head = guard.protect(columns_[i].head, 0);
-          return head->next.load(std::memory_order_acquire) != nullptr &&
-                 head->index < m;
-        },
         /*certified=*/
         [&](std::uint64_t m) { return certify_dequeue(guard, m); },
         obs::ShiftCause::kQueueGet);
@@ -227,17 +214,9 @@ class TwoDQueue {
 
   /// Highest per-thread slot index leased across the reclaimer and the
   /// allocator — the churn harness's bounded-lease gauge (DESIGN.md §13).
-  /// Zero for slotless policies (Leaky/Heap).
+  /// HeapAlloc leases no slots and reports zero.
   std::size_t slot_hwm() const {
-    std::size_t hwm = 0;
-    if constexpr (requires { reclaimer_.slot_hwm(); }) {
-      hwm = reclaimer_.slot_hwm();
-    }
-    if constexpr (requires { alloc_.slot_hwm(); }) {
-      const std::size_t a = alloc_.slot_hwm();
-      if (a > hwm) hwm = a;
-    }
-    return hwm;
+    return std::max(reclaimer_.slot_hwm(), alloc_.slot_hwm());
   }
 
  private:

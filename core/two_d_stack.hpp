@@ -18,7 +18,7 @@
 // reclaimer, and only a pop that found an eligible column pins it to read
 // head->next.
 //
-// Memory reclamation is a template policy (see reclaim/leaky.hpp for the
+// Memory reclamation is a template policy (see reclaim/epoch.hpp for the
 // contract); the default is epoch-based. Node storage is a second policy
 // (reclaim/alloc.hpp): PoolAlloc by default — slab-recycled,
 // magazine-cached blocks owned by this instance until it is destroyed —
@@ -161,17 +161,9 @@ class TwoDStack {
 
   /// Highest per-thread slot index leased across the reclaimer and the
   /// allocator — the churn harness's bounded-lease gauge (DESIGN.md §13).
-  /// Zero for slotless policies (Leaky/Heap).
+  /// HeapAlloc leases no slots and reports zero.
   std::size_t slot_hwm() const {
-    std::size_t hwm = 0;
-    if constexpr (requires { reclaimer_.slot_hwm(); }) {
-      hwm = reclaimer_.slot_hwm();
-    }
-    if constexpr (requires { alloc_.slot_hwm(); }) {
-      const std::size_t a = alloc_.slot_hwm();
-      if (a > hwm) hwm = a;
-    }
-    return hwm;
+    return std::max(reclaimer_.slot_hwm(), alloc_.slot_hwm());
   }
 
  private:
@@ -228,12 +220,6 @@ class TwoDStack {
           }
           return core::Probe::kContended;
         },
-        /*eligible=*/
-        [&](std::size_t i, std::uint64_t m) {
-          // A pure packed-word scan — no guard.
-          return core::head_count(
-                     columns_[i].head.load(std::memory_order_acquire)) < m;
-        },
         /*certified=*/
         [&](std::uint64_t m) { return core::Certified::shift_to(m + params_.shift); },
         obs::ShiftCause::kStackPush);
@@ -257,14 +243,6 @@ class TwoDStack {
             return core::Probe::kSuccess;
           }
           return core::Probe::kContended;
-        },
-        /*eligible=*/
-        [&](std::size_t i, std::uint64_t m) {
-          // count > low implies count >= 1, and count == 0 <=> empty
-          // survives saturation, so the band check alone suffices.
-          return core::head_count(
-                     columns_[i].head.load(std::memory_order_acquire)) >
-                 m - params_.depth;
         },
         /*certified=*/
         [&](std::uint64_t m) {

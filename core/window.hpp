@@ -4,25 +4,22 @@
 // operations at either end).
 //
 // The paper's containers all share the same control structure: probe a
-// column for eligibility under the current window, hop between columns per
-// HopMode after an ineligible probe or a lost CAS, and only move the window
+// column for eligibility under the current window, hop between columns
+// after an ineligible probe or a lost CAS, and only move the window
 // — monotonically, by `shift` — after a *certified failed sweep*, i.e.
 // proof that every column was ineligible under an unchanged window value.
 // TwoDStack and TwoDQueue used to hand-roll this loop separately, and the
 // certification bugs PR 1 fixed crept in exactly through that duplication;
 // this header is the single copy.
 //
-// What stays with the container (the three callbacks of drive_window_sweep):
+// What stays with the container (the two callbacks of drive_window_sweep):
 //   * how a column is probed and operated on (`attempt`),
-//   * how eligibility is re-checked read-only (`eligible`, used by the
-//     random-only verify scan),
 //   * what a certified failed sweep means (`certified`: shift the window to
-//     a new value, redirect to a column the scan found eligible, or stop —
+//     a new value, redirect to a column a scan found eligible, or stop —
 //     e.g. a pop that certified the whole structure empty).
 // What the engine owns: the sweep-state machine (hop policy, contention
-// restarts, streak counting), the certification thresholds, the random-only
-// verify scan, window refresh on concurrent shifts, and the monotonic
-// window-shift CAS itself.
+// restarts, streak counting), the certification threshold, window refresh
+// on concurrent shifts, and the monotonic window-shift CAS itself.
 #pragma once
 
 #include <atomic>
@@ -69,81 +66,54 @@ struct Certified {
 /// Per-operation sweep state: which column to probe next, and how much of a
 /// failed sweep has been certified so far.
 ///
-/// Hop policy per HopMode (DESIGN.md §9): kHybrid does `width` random hops,
-/// then switches to a round-robin streak; kRoundRobinOnly streaks from the
-/// start; kRandomOnly hops randomly forever. A streak that covers `width`
-/// consecutive ineligible probes under an unchanged window certifies the
-/// failed sweep by itself; random probes can revisit columns, so in
-/// kRandomOnly `width` failed probes only make certification *due* — the
-/// engine then pays a read-only verify scan. A lost CAS (contention) means
-/// the observed column *was* eligible, so it restarts certification from
-/// scratch.
+/// The paper's hop policy (DESIGN.md §9): after an ineligible probe, hop to
+/// a random column until `width` probes have failed, then switch to a
+/// round-robin streak. A streak that covers `width` consecutive ineligible
+/// probes under an unchanged window certifies the failed sweep (every
+/// column was seen ineligible). A lost CAS (contention) means the observed
+/// column *was* eligible, so it hops randomly and restarts certification
+/// from scratch.
 class SweepState {
  public:
-  SweepState(const TwoDParams& params, std::size_t start)
-      : p_(params),
-        index_(start % params.width),
-        round_robin_(params.hop_mode == HopMode::kRoundRobinOnly) {}
+  SweepState(std::size_t width, std::size_t start)
+      : width_(width), index_(start % width) {}
 
   std::size_t index() const { return index_; }
 
-  void reset() {
-    random_probes_ = 0;
-    streak_ = 0;
-    round_robin_ = p_.hop_mode == HopMode::kRoundRobinOnly;
-  }
+  /// Certification starts over: the window moved, or a column proved
+  /// eligible.
+  void reset() { failed_ = 0; }
 
   /// Certification restarts at `index` (a scan found it eligible).
   void restart_at(std::size_t index) {
     reset();
-    index_ = index % p_.width;
+    index_ = index % width_;
   }
 
   void on_ineligible() {
-    if (round_robin_) {
+    if (++failed_ <= width_) {
+      obs::count<obs::Counter::kHopsRandom>();
+      index_ = static_cast<std::size_t>(hop_rand()) % width_;
+    } else {
       obs::count<obs::Counter::kHopsStreak>();
-      ++streak_;
-      index_ = (index_ + 1) % p_.width;
-      return;
-    }
-    obs::count<obs::Counter::kHopsRandom>();
-    ++random_probes_;
-    index_ = static_cast<std::size_t>(hop_rand()) % p_.width;
-    if (p_.hop_mode == HopMode::kHybrid && random_probes_ >= p_.width) {
-      round_robin_ = true;
-      streak_ = 0;
+      index_ = (index_ + 1) % width_;
     }
   }
 
   void on_contended() {
-    // Contention: hop away (randomly, unless round-robin-only) and start
-    // the certification over — the observed column was eligible.
     obs::count<obs::Counter::kHopsContended>();
-    streak_ = 0;
-    random_probes_ = 0;
-    if (p_.hop_mode == HopMode::kRoundRobinOnly) {
-      index_ = (index_ + 1) % p_.width;
-    } else {
-      round_robin_ = false;
-      index_ = static_cast<std::size_t>(hop_rand()) % p_.width;
-    }
+    reset();
+    index_ = static_cast<std::size_t>(hop_rand()) % width_;
   }
 
-  /// True once this sweep has (for streak modes) proven, or (for
-  /// kRandomOnly) made due, a full failed sweep.
-  bool certification_due() const {
-    if (p_.hop_mode == HopMode::kRandomOnly) {
-      return random_probes_ >= p_.width;
-    }
-    return round_robin_ && streak_ >= p_.width;
-  }
+  /// True once the round-robin streak has covered every column: `width`
+  /// random probes, then `width` consecutive ones.
+  bool certification_due() const { return failed_ >= 2 * width_; }
 
  private:
-  const TwoDParams& p_;
+  std::size_t width_;
   std::size_t index_;
-  unsigned random_probes_ = 0;
-  unsigned streak_ = 0;
-  bool round_robin_;
+  std::size_t failed_ = 0;  ///< ineligible probes since the last reset
 };
 
 /// Drive one operation's sweep to completion.
@@ -159,10 +129,6 @@ class SweepState {
 ///     One probe of `index` under window `max`: check eligibility exactly
 ///     and try the operation's CAS. On kSuccess the operation's result must
 ///     have been captured by the callback (the engine returns true).
-///   bool eligible(std::size_t index, std::uint64_t max)
-///     Read-only eligibility check used by the kRandomOnly verify scan; may
-///     err toward true (attempt re-checks exactly) but must never report a
-///     genuinely eligible column as ineligible.
 ///   Certified certified(std::uint64_t max)
 ///     Called after a certified failed sweep; decides shift / redirect /
 ///     stop. A kShift target must be monotonic in the window's direction of
@@ -178,16 +144,15 @@ class SweepState {
 /// `cause` tags this operation's window shifts in the obs trace ring
 /// (obs::ShiftCause::kUnknown when the caller doesn't care); everything
 /// else about the instrumentation is the engine's own (DESIGN.md §14):
-/// probes, hops by reason, verify scans/redirects, certification
-/// consults/failures, and shift attempts split into wins and losses.
-template <typename Attempt, typename Eligible, typename CertifiedFn>
+/// probes, hops by reason, certification consults/failures, and shift attempts split into wins and losses.
+template <typename Attempt, typename CertifiedFn>
 bool drive_window_sweep(const TwoDParams& p,
                         std::atomic<std::uint64_t>& window, std::size_t start,
                         std::uint64_t max, Probe seed, Attempt&& attempt,
-                        Eligible&& eligible, CertifiedFn&& certified,
+                        CertifiedFn&& certified,
                         obs::ShiftCause cause = obs::ShiftCause::kUnknown) {
   obs::count<obs::Counter::kSweeps>();
-  SweepState sweep(p, start);
+  SweepState sweep(p.width, start);
   if (seed == Probe::kContended) {
     sweep.on_contended();
   } else {
@@ -220,24 +185,6 @@ bool drive_window_sweep(const TwoDParams& p,
     }
     sweep.on_ineligible();
     if (!sweep.certification_due()) continue;
-    if (p.hop_mode == HopMode::kRandomOnly) {
-      // Random probes can revisit columns, so the sweep alone proves
-      // nothing: verify with a read-only scan before consulting the
-      // container, and resume at any eligible column it finds.
-      obs::count<obs::Counter::kVerifyScans>();
-      bool redirected = false;
-      for (std::size_t i = 0; i < p.width; ++i) {
-        if (eligible(i, max)) {
-          sweep.restart_at(i);
-          redirected = true;
-          break;
-        }
-      }
-      if (redirected) {
-        obs::count<obs::Counter::kVerifyRedirects>();
-        continue;
-      }
-    }
     obs::count<obs::Counter::kCertAttempts>();
     const Certified c = certified(max);
     switch (c.kind) {

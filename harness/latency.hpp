@@ -1,4 +1,5 @@
-// Per-operation latency measurement with a log-linear histogram.
+// A log-linear latency histogram: the service harness records its
+// response times into it.
 //
 // Buckets are power-of-two decades with 16 linear sub-buckets each
 // (HdrHistogram-style, ~6% resolution), covering 1 ns to the full uint64
@@ -7,13 +8,9 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
-
-#include "harness/runner.hpp"
-#include "harness/workload.hpp"
 
 namespace r2d::harness {
 
@@ -87,91 +84,5 @@ class Histogram {
   std::uint64_t max_ = 0;
   std::uint64_t saturated_ = 0;
 };
-
-struct LatencyResult {
-  Histogram histogram;
-  double p50() const { return histogram.quantile(0.50); }
-  double p99() const { return histogram.quantile(0.99); }
-  double p999() const { return histogram.quantile(0.999); }
-  std::uint64_t saturated() const { return histogram.saturated(); }
-};
-
-namespace detail {
-
-/// Shared latency accounting: time each `op(labels)` call into a
-/// per-thread histogram, merged at the end. The stack and deque runners
-/// differ only in their prefill and per-op dispatch.
-template <typename Prefill, typename Op>
-LatencyResult measure_latency(const Workload& w, Prefill prefill, Op op) {
-  const unsigned threads = std::max(1u, w.threads);
-  std::atomic<bool> stop{false};
-  std::vector<Histogram> histograms(threads);
-  std::vector<LabelSequence> labels;
-  labels.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) labels.emplace_back(t);
-
-  drive(
-      w, stop, [&](unsigned t) { prefill(t, labels[t]); },
-      [&](unsigned t) {
-        const auto begin = std::chrono::steady_clock::now();
-        op(labels[t]);
-        const auto end = std::chrono::steady_clock::now();
-        histograms[t].add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-                .count()));
-      });
-
-  LatencyResult result;
-  for (const Histogram& h : histograms) result.histogram.merge(h);
-  return result;
-}
-
-}  // namespace detail
-
-/// Time every operation of the standard workload into one histogram
-/// (pushes and pops pooled; empty pops count — an empty-stack probe is an
-/// operation the caller waited for).
-template <RelaxedStack Stack>
-LatencyResult run_latency(Stack& stack, const Workload& w) {
-  return detail::measure_latency(
-      w,
-      [&](unsigned t, LabelSequence& labels) {
-        const std::uint64_t share = detail::prefill_share(w, t);
-        for (std::uint64_t i = 0; i < share; ++i) stack.push(labels());
-      },
-      [&](LabelSequence& labels) {
-        if (choose_push(w.push_ratio)) {
-          stack.push(labels());
-        } else {
-          stack.pop();
-        }
-      });
-}
-
-/// Deque variant of run_latency: same pooled histogram, with the end of
-/// each operation drawn from front_ratio.
-template <RelaxedDeque Deque>
-LatencyResult run_latency_deque(Deque& deque, const Workload& w) {
-  return detail::measure_latency(
-      w,
-      [&](unsigned t, LabelSequence& labels) {
-        const std::uint64_t share = detail::prefill_share(w, t);
-        for (std::uint64_t i = 0; i < share; ++i) deque.push_back(labels());
-      },
-      [&](LabelSequence& labels) {
-        const bool front = bernoulli(w.front_ratio);
-        if (choose_push(w.push_ratio)) {
-          if (front) {
-            deque.push_front(labels());
-          } else {
-            deque.push_back(labels());
-          }
-        } else if (front) {
-          deque.pop_front();
-        } else {
-          deque.pop_back();
-        }
-      });
-}
 
 }  // namespace r2d::harness

@@ -74,7 +74,6 @@ struct ThroughputResult {
   double mops = 0.0;          ///< million operations per second, all threads
   double seconds = 0.0;
   std::uint64_t total_ops = 0;
-  std::uint64_t empty_pops = 0;
 };
 
 struct QualityResult {
@@ -87,9 +86,12 @@ struct QualityResult {
 namespace detail {
 
 /// Shared run skeleton: prefill -> barrier -> body(t) until stop -> join.
-/// Returns the measured wall-clock interval: start gun to last join (ops
-/// are counted until each worker observes stop, so the join tail belongs
-/// in the denominator).
+/// The timed window closes only after every worker has completed one
+/// body(t) call, so a run whose workers got no CPU after the start gun
+/// (a loaded host, a short duration) still measures something instead of
+/// nothing. Returns the measured wall-clock interval: start gun to last
+/// join (ops are counted until each worker observes stop, so the join
+/// tail belongs in the denominator).
 template <typename Prefill, typename Body>
 std::pair<std::chrono::steady_clock::time_point,
           std::chrono::steady_clock::time_point>
@@ -97,6 +99,7 @@ drive(const Workload& w, std::atomic<bool>& stop, Prefill prefill,
       Body body) {
   const unsigned threads = std::max(1u, w.threads);
   std::barrier sync(static_cast<std::ptrdiff_t>(threads) + 1);
+  std::atomic<unsigned> ran{0};  // workers past their first body(t)
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
@@ -105,6 +108,8 @@ drive(const Workload& w, std::atomic<bool>& stop, Prefill prefill,
       prefill(t);
       sync.arrive_and_wait();  // prefill complete
       sync.arrive_and_wait();  // start gun
+      body(t);
+      ran.fetch_add(1, std::memory_order_relaxed);
       while (!stop.load(std::memory_order_relaxed)) body(t);
     });
   }
@@ -112,6 +117,9 @@ drive(const Workload& w, std::atomic<bool>& stop, Prefill prefill,
   const auto start = std::chrono::steady_clock::now();
   sync.arrive_and_wait();
   std::this_thread::sleep_for(std::chrono::milliseconds(w.duration_ms));
+  while (ran.load(std::memory_order_relaxed) < threads) {
+    std::this_thread::yield();
+  }
   stop.store(true, std::memory_order_relaxed);
   for (auto& worker : workers) worker.join();
   return {start, std::chrono::steady_clock::now()};
@@ -123,8 +131,7 @@ inline std::uint64_t prefill_share(const Workload& w, unsigned t) {
 }
 
 /// Shared throughput accounting over drive(): `prefill(t, labels)` seeds
-/// the structure, `op(labels)` performs one measured operation and
-/// returns false when it was a pop that found the structure empty. The
+/// the structure, `op(labels)` performs one measured operation. The
 /// stack and deque runners differ only in these two callbacks, so the
 /// counter/timing logic cannot drift between them.
 template <typename Prefill, typename Op>
@@ -134,7 +141,6 @@ ThroughputResult measure_throughput(const Workload& w, Prefill prefill,
   std::atomic<bool> stop{false};
   struct alignas(64) Counter {
     std::uint64_t ops = 0;
-    std::uint64_t empty = 0;
   };
   std::vector<Counter> counters(threads);
   std::vector<LabelSequence> labels;
@@ -144,7 +150,7 @@ ThroughputResult measure_throughput(const Workload& w, Prefill prefill,
   const auto [t0, t1] = drive(
       w, stop, [&](unsigned t) { prefill(t, labels[t]); },
       [&](unsigned t) {
-        if (!op(labels[t])) ++counters[t].empty;
+        op(labels[t]);
         ++counters[t].ops;
       });
 
@@ -152,10 +158,7 @@ ThroughputResult measure_throughput(const Workload& w, Prefill prefill,
   r.seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
           .count();
-  for (const Counter& c : counters) {
-    r.total_ops += c.ops;
-    r.empty_pops += c.empty;
-  }
+  for (const Counter& c : counters) r.total_ops += c.ops;
   r.mops = r.seconds > 0 ? static_cast<double>(r.total_ops) / 1e6 / r.seconds
                          : 0.0;
   return r;
@@ -302,9 +305,9 @@ ThroughputResult run_throughput(Stack& stack, const Workload& w) {
       [&](LabelSequence& labels) {
         if (choose_push(w.push_ratio)) {
           stack.push(labels());
-          return true;
+        } else {
+          stack.pop();
         }
-        return stack.pop().has_value();
       });
 }
 
@@ -350,9 +353,11 @@ ThroughputResult run_throughput_deque(Deque& deque, const Workload& w) {
           } else {
             deque.push_back(labels());
           }
-          return true;
+        } else if (front) {
+          deque.pop_front();
+        } else {
+          deque.pop_back();
         }
-        return (front ? deque.pop_front() : deque.pop_back()).has_value();
       });
 }
 

@@ -80,8 +80,8 @@ struct ServiceConfig {
   std::uint64_t degrade_factor = 1;    ///< R2D_DEGRADE_FACTOR; 1 = off
   std::uint64_t degrade_window = 256;  ///< R2D_DEGRADE_WINDOW, arrivals
   /// Stall watchdog deadline (R2D_WATCHDOG_MS; 0 = off): a background
-  /// monitor samples completions, and a deadline with no progress while
-  /// tasks are outstanding dumps obs forensics and forces the
+  /// monitor samples completions, and two consecutive deadlines with no
+  /// progress while tasks are outstanding dump obs forensics and force the
   /// DegradeController into degraded mode (sched/watchdog.hpp).
   std::uint64_t watchdog_ms = 0;
 

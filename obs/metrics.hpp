@@ -75,8 +75,6 @@ enum class Counter : unsigned {
   kHopsRandom,       ///< hops after an ineligible probe, random policy
   kHopsStreak,       ///< hops after an ineligible probe, round-robin streak
   kHopsContended,    ///< hops after a lost CAS on an eligible column
-  kVerifyScans,      ///< kRandomOnly read-only full-width verify scans
-  kVerifyRedirects,  ///< verify scans that found an eligible column
   kCertAttempts,     ///< certified() consults (a certified failed sweep)
   kCertFails,        ///< certified() verdicts of kRestart (cert invalidated)
   kShiftAttempts,    ///< window-shift CASes tried
@@ -206,8 +204,6 @@ struct Snapshot {
                (*this)[Counter::kShiftWins] + (*this)[Counter::kShiftLosses] &&
            (*this)[Counter::kSweeps] ==
                (*this)[Counter::kSweepSuccess] + (*this)[Counter::kSweepStop] &&
-           (*this)[Counter::kVerifyRedirects] <=
-               (*this)[Counter::kVerifyScans] &&
            (*this)[Counter::kCertFails] <= (*this)[Counter::kCertAttempts];
   }
 };
@@ -223,8 +219,6 @@ inline const char* counter_name(Counter i) {
     case Counter::kHopsRandom: return "hops_random";
     case Counter::kHopsStreak: return "hops_streak";
     case Counter::kHopsContended: return "hops_contended";
-    case Counter::kVerifyScans: return "verify_scans";
-    case Counter::kVerifyRedirects: return "verify_redirects";
     case Counter::kCertAttempts: return "cert_attempts";
     case Counter::kCertFails: return "cert_fails";
     case Counter::kShiftAttempts: return "shift_attempts";

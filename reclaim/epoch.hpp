@@ -17,8 +17,42 @@
 // reclaim/membarrier.hpp). Elsewhere — or with R2D_MEMBARRIER=0 — pin()
 // falls back to the classic per-operation seq_cst fence.
 //
-// Policy contract: see reclaim/leaky.hpp. Bounded garbage: at most the
-// nodes retired across three epochs per thread.
+// Bounded garbage: at most the nodes retired across three epochs per
+// thread.
+//
+// Reclaimer policy contract (DESIGN.md §5), shared with
+// reclaim/hazard.hpp: a container owns one reclaimer instance and
+// brackets every operation with
+//
+//   auto g = reclaimer.pin();          // enter critical section (RAII)
+//   T* p = g.protect(head, slot);      // hazard-safe load of atomic<T*>
+//   w = g.protect_word(head, unpack);  // same for a packed head word whose
+//                                      // node pointer `unpack` extracts
+//   wp = g.protect_pair(load, unpack); // same for a two-word (16-byte)
+//                                      // head: `load` returns the word
+//                                      // pair, `unpack` the two node
+//                                      // pointers to shield (slots n, n+1)
+//   g.protect_raw(p, slot);            // publish one extra raw pointer
+//                                      // (caller revalidates reachability)
+//   g.retire(p, alloc);                // defer release of an unlinked node
+//                                      // back to its owning allocator
+//   g.retire(p);                       // same, for plain new'd nodes
+//
+// Operations that never dereference a shared node — packed-head pushes and
+// count probes read one atomic word — need no guard at all.
+//
+// `protect` may be called for up to kMaxProtected distinct slots per guard;
+// `retire` must be called at most once per node, only after the node is
+// unreachable from the structure. The allocator passed to retire must
+// outlive the reclaimer (containers declare the allocator member first —
+// see DESIGN.md §10 for the block-ownership pipeline). Guards must not
+// outlive the reclaimer and must not nest per thread on the same instance
+// (one pin per operation).
+// Capacity: each thread leases a per-instance slot (R2D_MAX_SLOTS, default
+// 256). Leases are released at thread exit and stealable from dead threads
+// once quiesced (DESIGN.md §13), so the cap bounds *concurrent* threads,
+// not lifetime distinct ones; exceeding live demand throws a diagnostic
+// SlotsExhausted.
 #pragma once
 
 #include <atomic>

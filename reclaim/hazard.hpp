@@ -1,12 +1,12 @@
 // HazardReclaimer: classic hazard pointers (Michael 2004).
 //
 // protect() publishes the pointer with a sequentially-consistent store and
-// re-validates the source — the per-dereference cost the E7 ablation
-// measures against EBR's per-operation cost. retire() batches nodes per
-// thread; once a batch reaches kScanThreshold the thread scans all
-// published hazards and frees every non-hazardous node.
+// re-validates the source — a per-dereference cost, where EBR pays per
+// operation. retire() batches nodes per thread; once a batch reaches
+// kScanThreshold the thread scans all published hazards and frees every
+// non-hazardous node.
 //
-// Policy contract: see reclaim/leaky.hpp. Bounded garbage: at most
+// Policy contract: see reclaim/epoch.hpp. Bounded garbage: at most
 // kScanThreshold + (#threads * kMaxProtected) nodes per thread.
 #pragma once
 

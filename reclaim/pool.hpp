@@ -2,8 +2,8 @@
 //
 // acquire() constructs a T in a recycled block (or carves a fresh block out
 // of a slab when the free lists are dry); release() destroys it and pushes
-// the block back. The E10 ablation compares this against raw new/delete —
-// node recycling is what the paper's evaluation (and most lock-free stack
+// the block back. E10 compares this against raw new/delete — node
+// recycling is what the paper's evaluation (and most lock-free stack
 // evaluations) use. PoolAlloc (reclaim/alloc.hpp) layers per-thread
 // magazines on top via the raw block API below.
 //

@@ -5,10 +5,13 @@
 // catches the ones that slip through to production. It samples a
 // caller-supplied progress counter (completed ops, obs sweep/shift
 // counters — anything monotonic) on a monotonic deadline
-// (`R2D_WATCHDOG_MS`). If a whole armed interval passes with no
+// (`R2D_WATCHDOG_MS`). If two consecutive judged windows pass with no
 // progress while work is outstanding, it captures a diagnostic report —
 // the obs counter summary plus the newest shift-trace ring entries —
-// and lets policy decide what happens next. A window in which the
+// and lets policy decide what happens next. One stuck window is not
+// enough: a worker starved of CPU for a single deadline (an overloaded
+// host) looks exactly like a stuck one, and requiring a second window
+// costs one more deadline of detection delay. A window in which the
 // monitor itself woke more than half a deadline late is not judged: the
 // monitor was descheduled (hypervisor steal, an overloaded host), so the
 // window measured the host rather than the container. Every report
@@ -134,6 +137,9 @@ class Watchdog {
  public:
   using ProgressFn = std::function<std::uint64_t()>;
 
+  /// Consecutive judged windows without progress that make a stall.
+  static constexpr unsigned kStuckWindows = 2;
+
   struct Config {
     std::chrono::milliseconds deadline{1000};
     /// Sampled before each verdict; true suppresses the stall (nothing
@@ -184,6 +190,7 @@ class Watchdog {
     using Clock = std::chrono::steady_clock;
     std::unique_lock<std::mutex> lk(mu_);
     std::uint64_t last = progress_();
+    unsigned stuck = 0;  // consecutive judged windows without progress
     while (!stop_) {
       const Clock::time_point start = Clock::now();
       const HostTicks host_start = HostTicks::read();
@@ -198,9 +205,15 @@ class Watchdog {
       // A monitor that woke more than half a deadline late was itself
       // descheduled; the window says nothing about the container.
       const bool late = window.overshoot > config_.deadline / 2;
-      if (now == last && !idle && !late) {
+      if (now != last || idle) {
+        stuck = 0;
+      } else if (!late) {
+        ++stuck;
+      }
+      if (stuck >= kStuckWindows) {
+        stuck = 0;
         const std::string report =
-            stall_report(now, config_.deadline, window);
+            stall_report(now, config_.deadline * kStuckWindows, window);
         last_report_ = report;
         stalled_.store(true, std::memory_order_release);
         stall_count_.fetch_add(1, std::memory_order_relaxed);

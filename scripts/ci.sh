@@ -4,11 +4,11 @@
 # Usage: scripts/ci.sh [build-dir]
 #   R2D_SANITIZER=asan|tsan  configure the sanitizer toggle
 #
-# Sanitizer configs additionally smoke the packed-head and allocation
-# benches (packed pointers and free-list splices are easy to get wrong
-# under ASan/TSan); the plain config adds a Release-mode perf smoke that
+# Sanitizer configs additionally smoke the packed-head micro benches
+# (packed pointers and pool recycling are easy to get wrong under
+# ASan/TSan); the plain config adds a Release-mode perf smoke that
 # records machine-readable bench points as BENCH_micro.json /
-# BENCH_fig2.json / BENCH_alloc.json / BENCH_service.json (ops/s per
+# BENCH_fig2.json / BENCH_deque.json / BENCH_service.json (ops/s per
 # structure — or, for the service file, CO-safe response quantiles and
 # shed rates — host core count, git sha; see bench/common.hpp and
 # bench/service_dispatch.cpp for the schemas).
@@ -61,6 +61,17 @@ R2D_FAULT=rate:0.02 R2D_FAULT_SEED=7 "$HOOKS_DIR/tests/test_fault"
 # policy, exercising the env-configured (not test-configured) path.
 echo "=== fault env torture: R2D_FAULT=nth:1000 ==="
 R2D_FAULT=nth:1000 R2D_FAULT_SEED=7 "$HOOKS_DIR/tests/test_fault"
+# Replay by N: outside a DST run the hop streams seed from R2D_FAULT_SEED
+# and a thread ordinal, so two runs of the single-threaded OOM sweeps must
+# hit the same number of sites.
+echo "=== fault replay: oom sweep sites, two runs ==="
+OOM_SITES_A="$("$HOOKS_DIR/tests/test_fault" | grep 'oom sweep')"
+OOM_SITES_B="$("$HOOKS_DIR/tests/test_fault" | grep 'oom sweep')"
+if [ "$OOM_SITES_A" != "$OOM_SITES_B" ]; then
+  echo "oom sweep is not replayable:" >&2
+  diff <(echo "$OOM_SITES_A") <(echo "$OOM_SITES_B") >&2 || true
+  exit 1
+fi
 # Seed sweep: seeds x {random, pct:1, pct:3} x 5 history-checked suites
 # per seed. The plain config crosses the 1000-schedule bar (70*3*5 =
 # 1050 + the fixed replay/budget schedules); sanitizer configs run a
@@ -142,13 +153,6 @@ if [ -x "$BUILD_DIR/micro_ops" ]; then
   "$BUILD_DIR/micro_ops" --benchmark_filter='single/' \
     --benchmark_min_time=0.02
 fi
-if [ -x "$BUILD_DIR/ablation_allocation" ]; then
-  # The allocation matrix (heap / pool / pool+magazine, solo + contended)
-  # under ASan exercises real slab recycling; under TSan it hammers the
-  # tagged splice CASes.
-  echo "=== smoke: ablation_allocation ==="
-  "$BUILD_DIR/ablation_allocation" --benchmark_min_time=0.02
-fi
 
 # Perf trajectory: a Release-mode smoke that records bench points. Skipped
 # under sanitizers (their timings are noise, and the plain config is the
@@ -158,8 +162,7 @@ if [ -z "$SANITIZER" ]; then
   GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
   # Drop stale trajectory files so the -s assertions below can only pass
   # on output this run actually wrote.
-  rm -f BENCH_micro.json BENCH_fig2.json BENCH_deque.json BENCH_alloc.json \
-        BENCH_service.json
+  rm -f BENCH_micro.json BENCH_fig2.json BENCH_deque.json BENCH_service.json
   cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DR2D_SANITIZER=
   cmake --build "$PERF_DIR" -j "$(nproc)"
   if [ -x "$PERF_DIR/micro_ops" ]; then
@@ -175,15 +178,6 @@ if [ -z "$SANITIZER" ]; then
   else
     echo "perf smoke: micro_ops not built (no google-benchmark); skipping" \
          "BENCH_micro.json"
-  fi
-  if [ -x "$PERF_DIR/ablation_allocation" ]; then
-    echo "=== perf smoke: ablation_allocation -> BENCH_alloc.json ==="
-    R2D_GIT_SHA="$GIT_SHA" R2D_BENCH_JSON=BENCH_alloc.json \
-      "$PERF_DIR/ablation_allocation" --benchmark_min_time=0.05
-    test -s BENCH_alloc.json
-  else
-    echo "perf smoke: ablation_allocation not built (no google-benchmark);" \
-         "skipping BENCH_alloc.json"
   fi
   echo "=== perf smoke: fig2_thread_sweep -> BENCH_fig2.json ==="
   R2D_GIT_SHA="$GIT_SHA" R2D_BENCH_JSON=BENCH_fig2.json \

@@ -4,8 +4,9 @@
 // After `cas_attempts` failed CASes on the central stack, an operation
 // publishes a request in a random collision slot (or claims an opposite
 // request already there). A push/pop pair that meets in a slot exchanges
-// the value and never touches the central stack — which is why the scheme
-// only helps symmetric workloads (the E8 ablation).
+// the value and never touches the central stack. The classic claim is that
+// this only helps symmetric workloads; on 4 cores it gained as pushes came
+// to dominate instead (EXPERIMENTS.md, "4-core answers").
 //
 // Collision records live in a process-lifetime static pool (claimed per
 // thread, never freed): a delayed partner may CAS a record's word long

@@ -78,10 +78,6 @@ void histogram_saturation() {
   h.merge(other);
   CHECK_EQ(h.saturated(), 3u);
   CHECK(h.quantile(0.999) > 0.0);
-
-  r2d::harness::LatencyResult r;
-  r.histogram.add(Histogram::kSaturateNs);
-  CHECK_EQ(r.saturated(), 1u);
 }
 
 /// A thread's counts survive its exit: the exit walk folds the slot into

@@ -3,11 +3,12 @@
 //
 // Covers the batch splice machinery (magazine -> spare -> depot and back:
 // no block lost or duplicated across refill/flush), cross-thread release
-// (acquire on T1, release + reuse on T2), an ABA tag hammer that shuttles
-// blocks between threads through an exchange slot (the TSan configuration
-// of this test is what would catch a torn free-list splice), coexisting
-// pools of one node type (the instance-keyed shard fix), run carving (runs
-// that ramp up to a magazine, each one cursor advance; concurrent carvers
+// (acquire on T1, release + reuse on T2), ABA tag hammers that shuttle
+// blocks between threads through an exchange slot, on PoolAlloc and on a
+// bare Pool with shared shards (the TSan configuration of this test is
+// what would catch a torn free-list splice), coexisting pools of one node
+// type (the instance-keyed shard fix), run carving (runs that ramp up to
+// a magazine, each one cursor advance; concurrent carvers
 // never share a block; an injected slab-growth failure at a run boundary
 // keeps the strong guarantee), ASan poisoning of free blocks, the 2D
 // containers' PoolAlloc default, and end-to-end no-loss/no-dup runs of the
@@ -369,6 +370,32 @@ int main() {
     if (Tracked* last = swap_slot.exchange(nullptr)) alloc.release(last);
     CHECK_EQ(Tracked::live.load(), 0);
     unsetenv("R2D_MAGAZINE");
+  }
+
+  {
+    // Bare Pool splice hammer: more threads than the pool's 16 shards, so
+    // some shard heads are pushed and popped by two threads at once, and
+    // blocks shuttle through one exchange slot, so most are released onto
+    // another thread's shard than the one they came from. A missing tag
+    // bump or torn splice shows up as a duplicate handout (live-count
+    // drift) or a sanitizer report.
+    r2d::reclaim::Pool<Tracked> pool;
+    std::atomic<Tracked*> swap_slot{nullptr};
+    constexpr unsigned kThreads = 20;
+    constexpr std::uint64_t kOps = 5000;
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&] {
+        for (std::uint64_t i = 0; i < kOps; ++i) {
+          Tracked* mine = pool.acquire(i);
+          Tracked* theirs = swap_slot.exchange(mine);
+          if (theirs != nullptr) pool.release(theirs);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    if (Tracked* last = swap_slot.exchange(nullptr)) pool.release(last);
+    CHECK_EQ(Tracked::live.load(), 0);
   }
 
   {

@@ -110,6 +110,20 @@ int main() {
     CHECK_EQ(q.mean_error, 0.0);
     CHECK_EQ(q.unknown_labels, std::uint64_t{0});
   }
+  // A zero-length pass still records: the timed window stays open until
+  // every worker has completed one operation (here a pop of a prefilled
+  // item, so each one is a sample).
+  {
+    r2d::stacks::TreiberStack<std::uint64_t> stack;
+    r2d::harness::Workload w;
+    w.threads = 4;
+    w.duration_ms = 0;
+    w.prefill = 1024;
+    w.push_ratio = 0.0;
+    const auto q = r2d::harness::run_quality(stack, w);
+    CHECK(q.samples >= w.threads);
+    CHECK_EQ(q.unknown_labels, std::uint64_t{0});
+  }
   // Concurrent strict stack: ticket skew (tickets approximate the
   // linearization) may contribute noise, but it stays far below the error
   // a genuinely relaxed structure shows.

@@ -1,5 +1,5 @@
-// Reclamation-layer tests: Pool recycling, and the epoch / hazard /
-// leaky policies driven through a contended stack (the ASan configuration
+// Reclamation-layer tests: Pool recycling, and the epoch and hazard
+// policies driven through a contended stack (the ASan configuration
 // of this test is what would catch a use-after-free or double-free). The
 // epoch policy is exercised under both fence modes — membarrier-based
 // asymmetric pin() and the symmetric seq_cst fallback forced by
@@ -14,7 +14,6 @@
 
 #include "reclaim/epoch.hpp"
 #include "reclaim/hazard.hpp"
-#include "reclaim/leaky.hpp"
 #include "reclaim/pool.hpp"
 #include "stacks/treiber_stack.hpp"
 #include "check.hpp"
@@ -119,10 +118,6 @@ int main() {
   unsetenv("R2D_MEMBARRIER");
 
   hammer_with_reclaimer<r2d::reclaim::HazardReclaimer>("hazard");
-#if !defined(__SANITIZE_ADDRESS__)
-  // The leaky policy leaks by design; skip it under LeakSanitizer.
-  hammer_with_reclaimer<r2d::reclaim::LeakyReclaimer>("leaky");
-#endif
 
   return TEST_MAIN_RESULT();
 }

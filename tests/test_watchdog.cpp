@@ -106,7 +106,8 @@ void check_stall_detection_and_report() {
   CHECK(threw);
 }
 
-/// Progress advancing -> never stalls; idle() true -> stall suppressed.
+/// Progress advancing, even only every second window -> never stalls;
+/// idle() true -> stall suppressed.
 void check_no_false_positives() {
   {
     std::atomic<std::uint64_t> progress{0};
@@ -127,6 +128,21 @@ void check_no_false_positives() {
     CHECK(!dog.stalled());
     stop.store(true, std::memory_order_release);
     worker.join();
+  }
+  {
+    // A starved worker: progress shows up in only every second window
+    // (the counter advances on every second read). One stuck window in
+    // a row is not a stall.
+    std::atomic<std::uint64_t> reads{0};
+    Watchdog::Config config;
+    config.deadline = std::chrono::milliseconds(10);
+    config.log_stderr = false;
+    Watchdog dog(
+        [&] { return reads.fetch_add(1, std::memory_order_relaxed) / 2; },
+        std::move(config));
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    CHECK(reads.load(std::memory_order_relaxed) >= 4);
+    CHECK(!dog.stalled());
   }
   {
     Watchdog::Config config;

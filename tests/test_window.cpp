@@ -1,8 +1,9 @@
 // Unit tests for the shared window-sweep engine (core/window.hpp) against
-// scripted mock columns — hop-mode streaks, certification thresholds,
-// contention restarts, and the monotonic window shift — so engine
-// regressions fail without a full container. Plus the 2D-queue put/get
-// window coupling: the get window must stay bounded by enqueue progress.
+// scripted mock columns — the hybrid hop policy's streak, the
+// certification threshold, contention restarts, and the monotonic window
+// shift — so engine regressions fail without a full container. Plus the
+// 2D-queue put/get window coupling: the get window must stay bounded by
+// enqueue progress.
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -17,142 +18,105 @@
 namespace {
 
 using r2d::core::Certified;
-using r2d::core::HopMode;
 using r2d::core::Probe;
 using r2d::core::TwoDParams;
 
-TwoDParams shape(std::size_t width, HopMode mode) {
+TwoDParams shape(std::size_t width) {
   TwoDParams p;
   p.width = width;
   p.depth = 4;
   p.shift = 2;
-  p.hop_mode = mode;
   return p;
 }
 
-/// Round-robin: a failed sweep is certified after exactly `width`
-/// consecutive ineligible probes (the seeding fast-path failure counts as
-/// the first), visiting columns consecutively.
-void check_round_robin_streak() {
-  const TwoDParams p = shape(4, HopMode::kRoundRobinOnly);
-  std::atomic<std::uint64_t> window{p.depth};
-  std::vector<std::size_t> probes;
-  unsigned certified_calls = 0;
-  const bool success = r2d::core::drive_window_sweep(
-      p, window, /*start=*/0, window.load(), Probe::kIneligible,
-      [&](std::size_t i, std::uint64_t) {
-        probes.push_back(i);
-        return Probe::kIneligible;
-      },
-      [&](std::size_t, std::uint64_t) { return false; },
-      [&](std::uint64_t) {
-        ++certified_calls;
-        return Certified::stop();
-      });
-  CHECK(!success);
-  CHECK_EQ(certified_calls, 1u);
-  const std::vector<std::size_t> expected = {1, 2, 3};
-  CHECK(probes == expected);
+/// The last `width` probes before a certification form one round-robin
+/// streak: consecutive columns, so every column was seen ineligible.
+bool ends_in_streak(const std::vector<std::size_t>& probes,
+                    std::size_t width) {
+  if (probes.size() < width) return false;
+  const std::size_t first = probes.size() - width;
+  std::set<std::size_t> covered;
+  for (std::size_t k = first; k < probes.size(); ++k) {
+    covered.insert(probes[k]);
+    if (k > first && probes[k] != (probes[k - 1] + 1) % width) return false;
+  }
+  return covered.size() == width;
 }
 
-/// A lost CAS (contention) restarts certification: the observed column was
-/// eligible, so the streak must re-cover every column afterwards.
-void check_contention_restart() {
-  const TwoDParams p = shape(4, HopMode::kRoundRobinOnly);
-  std::atomic<std::uint64_t> window{p.depth};
-  std::vector<std::size_t> probes;
-  const bool success = r2d::core::drive_window_sweep(
-      p, window, /*start=*/0, window.load(), Probe::kIneligible,
-      [&](std::size_t i, std::uint64_t) {
-        probes.push_back(i);
-        // Second probe pretends to lose a CAS on an eligible column.
-        return probes.size() == 2 ? Probe::kContended : Probe::kIneligible;
-      },
-      [&](std::size_t, std::uint64_t) { return false; },
-      [&](std::uint64_t) { return Certified::stop(); });
-  CHECK(!success);
-  // Seed(0 implicit) + probes 1, 2(contended) then a full fresh streak of
-  // width probes: 3, 0, 1, 2.
-  const std::vector<std::size_t> expected = {1, 2, 3, 0, 1, 2};
-  CHECK(probes == expected);
-}
-
-/// Hybrid: `width` random probes (seed included), then a round-robin
-/// streak covering every column consecutively, then certification.
+/// A sweep of an all-ineligible structure certifies exactly once: `width`
+/// random probes (the seeding fast-path failure counts as the first), then
+/// a streak of exactly `width` consecutive columns, then certification.
 void check_hybrid_streak() {
-  const TwoDParams p = shape(4, HopMode::kHybrid);
-  std::atomic<std::uint64_t> window{p.depth};
-  std::vector<std::size_t> probes;
-  unsigned certified_calls = 0;
-  const bool success = r2d::core::drive_window_sweep(
-      p, window, /*start=*/0, window.load(), Probe::kIneligible,
-      [&](std::size_t i, std::uint64_t) {
-        probes.push_back(i);
-        return Probe::kIneligible;
-      },
-      [&](std::size_t, std::uint64_t) { return false; },
-      [&](std::uint64_t) {
-        ++certified_calls;
-        return Certified::stop();
-      });
-  CHECK(!success);
-  CHECK_EQ(certified_calls, 1u);
-  // 3 random attempts (the seed was the 4th random probe) + 4 streak.
-  CHECK_EQ(probes.size(), std::size_t{7});
-  for (std::size_t k = 4; k < 7; ++k) {
-    CHECK_EQ(probes[k], (probes[k - 1] + 1) % p.width);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4},
+                                  std::size_t{7}}) {
+    const TwoDParams p = shape(width);
+    std::atomic<std::uint64_t> window{p.depth};
+    std::vector<std::size_t> probes;
+    unsigned certified_calls = 0;
+    std::size_t probes_at_certify = 0;
+    const bool success = r2d::core::drive_window_sweep(
+        p, window, /*start=*/0, window.load(), Probe::kIneligible,
+        [&](std::size_t i, std::uint64_t) {
+          CHECK(i < width);
+          probes.push_back(i);
+          return Probe::kIneligible;
+        },
+        [&](std::uint64_t) {
+          ++certified_calls;
+          probes_at_certify = probes.size();
+          return Certified::stop();
+        });
+    CHECK(!success);
+    CHECK_EQ(certified_calls, 1u);
+    CHECK_EQ(probes_at_certify, 2 * width - 1);
+    CHECK(ends_in_streak(probes, width));
   }
 }
 
-/// Random-only cannot certify from its probes: after `width` random hops
-/// the engine pays a read-only verify scan, resumes at any column the scan
-/// reports eligible, and only consults the container once a scan is clean.
-void check_random_only_verify_scan() {
-  const TwoDParams p = shape(4, HopMode::kRandomOnly);
+/// A lost CAS (contention) restarts certification: the observed column was
+/// eligible, so the sweep re-runs its full random phase and streak.
+void check_contention_restart() {
+  const TwoDParams p = shape(4);
   std::atomic<std::uint64_t> window{p.depth};
   std::vector<std::size_t> probes;
-  std::vector<std::size_t> scanned;
-  bool redirect_armed = true;
-  bool redirected_probe_seen = false;
-  unsigned certified_calls = 0;
   const bool success = r2d::core::drive_window_sweep(
       p, window, /*start=*/0, window.load(), Probe::kIneligible,
       [&](std::size_t i, std::uint64_t) {
         probes.push_back(i);
-        if (!redirect_armed && !redirected_probe_seen) {
-          // First probe after the redirecting scan must hit column 2.
-          redirected_probe_seen = true;
-          CHECK_EQ(i, std::size_t{2});
-        }
+        // The 6th probe (inside the streak) pretends to lose a CAS on an
+        // eligible column.
+        return probes.size() == 6 ? Probe::kContended : Probe::kIneligible;
+      },
+      [&](std::uint64_t) { return Certified::stop(); });
+  CHECK(!success);
+  // 6 probes up to the contention, then 4 random + 4 streak.
+  CHECK_EQ(probes.size(), std::size_t{6 + 8});
+  CHECK(ends_in_streak(probes, p.width));
+}
+
+/// A sweep seeded by a contended fast path starts with no credit: the
+/// seed was an eligible column, so all `width` random probes follow.
+void check_contended_seed() {
+  const TwoDParams p = shape(4);
+  std::atomic<std::uint64_t> window{p.depth};
+  std::vector<std::size_t> probes;
+  const bool success = r2d::core::drive_window_sweep(
+      p, window, /*start=*/0, window.load(), Probe::kContended,
+      [&](std::size_t i, std::uint64_t) {
+        probes.push_back(i);
         return Probe::kIneligible;
       },
-      [&](std::size_t i, std::uint64_t) {
-        scanned.push_back(i);
-        if (redirect_armed && i == 2) {
-          redirect_armed = false;
-          return true;  // first scan finds column 2 eligible
-        }
-        return false;
-      },
-      [&](std::uint64_t) {
-        ++certified_calls;
-        return Certified::stop();
-      });
+      [&](std::uint64_t) { return Certified::stop(); });
   CHECK(!success);
-  CHECK(redirected_probe_seen);
-  CHECK_EQ(certified_calls, 1u);
-  // First scan stopped at its redirect target; the clean scan covered all.
-  CHECK(scanned.size() >= p.width + 1);
-  const std::vector<std::size_t> first_scan(scanned.begin(),
-                                            scanned.begin() + 3);
-  CHECK(first_scan == (std::vector<std::size_t>{0, 1, 2}));
+  CHECK_EQ(probes.size(), std::size_t{2 * 4});
+  CHECK(ends_in_streak(probes, p.width));
 }
 
 /// Certified shifts install the proposed window value with one CAS and the
 /// sweep restarts under it; the window only ever moves through proposed
 /// values (monotonic rule).
 void check_monotonic_shift() {
-  const TwoDParams p = shape(2, HopMode::kRoundRobinOnly);
+  const TwoDParams p = shape(2);
   std::atomic<std::uint64_t> window{10};
   std::vector<std::uint64_t> seen_max;
   std::vector<std::uint64_t> shifts;
@@ -162,7 +126,6 @@ void check_monotonic_shift() {
         seen_max.push_back(m);
         return m >= 14 ? Probe::kSuccess : Probe::kIneligible;
       },
-      [&](std::size_t, std::uint64_t) { return false; },
       [&](std::uint64_t m) {
         shifts.push_back(m + 2);
         return Certified::shift_to(m + 2);
@@ -173,56 +136,60 @@ void check_monotonic_shift() {
   for (std::size_t k = 1; k < seen_max.size(); ++k) {
     CHECK(seen_max[k] >= seen_max[k - 1]);  // never observed moving back
   }
+  // Each shift followed a full certification under its window value:
+  // 3 probes under 10 (seed included), 4 under 12, then success at 14.
+  CHECK_EQ(seen_max.size(), std::size_t{3 + 4 + 1});
 }
 
 /// A concurrent window move (simulated mid-sweep) resets certification:
 /// the engine re-reads the window before every probe and must re-cover
 /// every column under the new value before certifying.
 void check_window_change_resets() {
-  const TwoDParams p = shape(3, HopMode::kRoundRobinOnly);
+  const TwoDParams p = shape(3);
   std::atomic<std::uint64_t> window{5};
-  unsigned attempts = 0;
+  std::vector<std::size_t> probes;
   std::uint64_t certified_max = 0;
   const bool success = r2d::core::drive_window_sweep(
       p, window, /*start=*/0, /*max=*/5, Probe::kIneligible,
-      [&](std::size_t, std::uint64_t) {
-        if (++attempts == 1) window.store(7);  // "another thread" shifts
+      [&](std::size_t i, std::uint64_t) {
+        probes.push_back(i);
+        // "Another thread" shifts mid-sweep.
+        if (probes.size() == 3) window.store(7);
         return Probe::kIneligible;
       },
-      [&](std::size_t, std::uint64_t) { return false; },
       [&](std::uint64_t m) {
         certified_max = m;
         return Certified::stop();
       });
   CHECK(!success);
   CHECK_EQ(certified_max, std::uint64_t{7});
-  // 1 probe under the old window + a full fresh streak of 3 under the new.
-  CHECK_EQ(attempts, 4u);
+  // 3 probes under the old window + 3 random and 3 streak under the new.
+  CHECK_EQ(probes.size(), std::size_t{3 + 6});
+  CHECK(ends_in_streak(probes, p.width));
 }
 
-/// Certified::restart_at sends the next probe to the named column.
+/// Certified::restart_at sends the next probe to the named column and
+/// starts certification over.
 void check_certified_restart() {
-  const TwoDParams p = shape(4, HopMode::kRoundRobinOnly);
+  const TwoDParams p = shape(4);
   std::atomic<std::uint64_t> window{p.depth};
   std::vector<std::size_t> probes;
-  bool redirected = false;
+  std::vector<std::size_t> certified_at;
   const bool success = r2d::core::drive_window_sweep(
       p, window, /*start=*/0, window.load(), Probe::kIneligible,
       [&](std::size_t i, std::uint64_t) {
         probes.push_back(i);
         return Probe::kIneligible;
       },
-      [&](std::size_t, std::uint64_t) { return false; },
       [&](std::uint64_t) {
-        if (!redirected) {
-          redirected = true;
-          return Certified::restart_at(3);
-        }
-        return Certified::stop();
+        certified_at.push_back(probes.size());
+        return certified_at.size() == 1 ? Certified::restart_at(3)
+                                        : Certified::stop();
       });
   CHECK(!success);
-  CHECK_EQ(probes[3], std::size_t{3});  // first probe after the redirect
-  CHECK_EQ(probes.size(), std::size_t{3 + 4});  // then a full fresh streak
+  CHECK(certified_at == (std::vector<std::size_t>{7, 7 + 8}));
+  CHECK_EQ(probes[7], std::size_t{3});  // first probe after the redirect
+  CHECK(ends_in_streak(probes, p.width));
 }
 
 /// Satellite regression: the get window is bounded by enqueue progress.
@@ -235,7 +202,6 @@ void check_queue_window_coupling() {
   p.width = 2;
   p.depth = 8;
   p.shift = 8;
-  p.hop_mode = HopMode::kRoundRobinOnly;
   r2d::TwoDQueue<std::uint64_t> queue(p);
   for (std::uint64_t i = 0; i < 17; ++i) queue.enqueue(i);
   // 8 serials per column fill the initial put window; the 17th forced a
@@ -261,10 +227,9 @@ void check_queue_window_coupling() {
 }  // namespace
 
 int main() {
-  check_round_robin_streak();
-  check_contention_restart();
   check_hybrid_streak();
-  check_random_only_verify_scan();
+  check_contention_restart();
+  check_contended_seed();
   check_monotonic_shift();
   check_window_change_resets();
   check_certified_restart();

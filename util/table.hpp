@@ -1,6 +1,6 @@
 // Column-aligned console tables with optional CSV export.
 //
-// Every bench prints one Table per figure/ablation and, when R2D_CSV is
+// Every bench prints one Table per measured sweep and, when R2D_CSV is
 // set, mirrors it to `<prefix><tag>.csv` for plotting.
 #pragma once
 
